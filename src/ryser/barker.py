@@ -8,12 +8,13 @@ reported as background, never proven here.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
-from ._bitmask import expand_masks, mask_spans, run_spans
-from .circulant import SignRow
-from .criterion import CriterionReport, Verdict, check_order
+from .circulant import (SignRow, expand_masks, filter_shifts, mask_spans,
+                        scan_span, sorted_rows)
+from .criterion import CriterionReport, Verdict, check_order, run_spans
 from .errors import IndexOutOfRange, LengthTooLarge
 
 MAX_SEARCH_LENGTH = 24
@@ -43,25 +44,17 @@ def search_barker(length: int, *, workers: int = 1) -> list[SignRow]:
     """
     if not 1 <= length <= MAX_SEARCH_LENGTH:
         raise LengthTooLarge(f"length {length} outside [1, {MAX_SEARCH_LENGTH}]")
-    tasks = [(length, lo, hi) for lo, hi in mask_spans(length)]
-    found = run_spans(_search_span, tasks, workers)
-    rows = [SignRow.from_mask(mask, length) for span in found for mask in span]
-    rows.sort(key=SignRow.literal)
-    return rows
+    return sorted_rows(run_spans(partial(scan_span, _keep_slice),
+                                 mask_spans(length, workers), workers), length)
 
 
-def _search_span(task: tuple[int, int, int]) -> list[int]:
-    length, lo, hi = task
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    signs = expand_masks(masks, length)
-    for k in range(1, length):
-        c = (signs[:, : length - k] * signs[:, k:]).sum(axis=1, dtype=np.int64)
-        keep = np.abs(c) <= 1
-        masks = masks[keep]
-        signs = signs[keep]
-        if masks.size == 0:
-            break
-    return [int(mask) for mask in masks]
+def _keep_slice(masks: np.ndarray, length: int) -> list[int]:
+    return filter_shifts(masks, expand_masks(masks, length), range(1, length),
+                         _apaf, 1)
+
+
+def _apaf(signs: np.ndarray, k: int) -> np.ndarray:
+    return (signs[:, :-k] * signs[:, k:]).sum(axis=1, dtype=np.int64)
 
 
 def barker_exclusion_report(length: int) -> CriterionReport:

@@ -10,13 +10,19 @@ cross-check only and never decides a verdict.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ._bitmask import expand_masks, mask_spans, run_spans
+from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
 MAX_SEARCH_ORDER = 28
+
+# 2^16 masks per filtering slice: keeps peak memory per worker in the low
+# megabytes while numpy still dominates the per-slice overhead.
+CHUNK_BITS = 16
 
 # Relative tolerance (times sqrt(n)) for every floating spectrum comparison.
 SPECTRUM_RTOL = 1e-9
@@ -136,29 +142,62 @@ def search_all(n: int, *, workers: int = 1) -> list[SignRow]:
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
-    tasks = [(n, lo, hi) for lo, hi in mask_spans(n)]
-    found = run_spans(_search_span, tasks, workers)
-    rows = [SignRow.from_mask(mask, n) for span in found for mask in span]
-    rows.sort(key=SignRow.literal)
-    return rows
+    return sorted_rows(run_spans(partial(scan_span, _keep_slice),
+                                 mask_spans(n, workers), workers), n)
 
 
-def _search_span(task: tuple[int, int, int]) -> list[int]:
-    n, lo, hi = task
-    masks = np.arange(lo, hi, dtype=np.uint64)
+def _keep_slice(masks: np.ndarray, n: int) -> list[int]:
     # The row sum must be +-sqrt(n): with c entries flipped it is n - 2c.
-    counts = np.bitwise_count(masks).astype(np.int64)
-    sums = n - 2 * counts
+    sums = n - 2 * np.bitwise_count(masks).astype(np.int64)
     masks = masks[sums * sums == n]
-    if masks.size == 0:
-        return []
-    signs = expand_masks(masks, n)
     # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
-    for k in range(1, n // 2 + 1):
-        paf = (signs * np.roll(signs, -k, axis=1)).sum(axis=1, dtype=np.int64)
-        keep = paf == 0
-        masks = masks[keep]
-        signs = signs[keep]
+    return filter_shifts(masks, expand_masks(masks, n), range(1, n // 2 + 1),
+                         _paf, 0)
+
+
+def _paf(signs: np.ndarray, k: int) -> np.ndarray:
+    return (signs * np.roll(signs, -k, axis=1)).sum(axis=1, dtype=np.int64)
+
+
+def mask_spans(n_bits: int, workers: int) -> list[tuple]:
+    """Tasks (n_bits, slices) covering [0, 2^n_bits) in ascending order.
+
+    Slices hold at most 2^CHUNK_BITS masks. A task is one pool message, and
+    about four per worker balance the load without a round trip per slice.
+    """
+    step = 1 << min(CHUNK_BITS, n_bits)
+    slices = [(lo, lo + step) for lo in range(0, 1 << n_bits, step)]
+    per_task = -(-len(slices) // (4 * max(workers, 1)))
+    return [(n_bits, slices[i:i + per_task])
+            for i in range(0, len(slices), per_task)]
+
+
+def scan_span(keep_slice: Callable, task: tuple) -> list[int]:
+    """The masks kept by keep_slice(masks, n) from each slice of one task."""
+    n, slices = task
+    return [mask for lo, hi in slices
+            for mask in keep_slice(np.arange(lo, hi, dtype=np.uint64), n)]
+
+
+def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """Masks to a sign matrix: bit i of a mask is h_{i+1}, 0 meaning +1."""
+    shifts = np.arange(n, dtype=np.uint64)
+    bits = ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.int8)
+    return 1 - 2 * bits
+
+
+def filter_shifts(masks: np.ndarray, signs: np.ndarray, shifts: Iterable[int],
+                  correlation: Callable, bound: int) -> list[int]:
+    """The masks whose rows have |correlation(signs, k)| <= bound for all k."""
+    for k in shifts:
+        keep = np.abs(correlation(signs, k)) <= bound
+        masks, signs = masks[keep], signs[keep]
         if masks.size == 0:
-            return []
-    return [int(mask) for mask in masks]
+            break
+    return masks.tolist()
+
+
+def sorted_rows(found: Iterable[list[int]], n: int) -> list[SignRow]:
+    """Decode the masks of every task, sorted with +1 before -1."""
+    return sorted((SignRow.from_mask(mask, n) for masks in found
+                   for mask in masks), key=SignRow.literal)

@@ -4,7 +4,8 @@ exhaustive searches.
 All reports go to stdout and are deterministic for identical inputs
 (timing_ms aside); diagnostics go to stderr. Exit codes: 0 for a computed
 verdict, 2 for usage or parse errors, 3 for NOT_APPLICABLE, 4 when an
-internal guard such as the sieve cap trips.
+internal guard such as the sieve cap trips, 130 when interrupted by Ctrl-C
+and 141 when the reader of stdout goes away.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import os
 import sys
 import time
 
-from ._bitmask import available_parallelism
 from .barker import search_barker
 from .circulant import (SignRow, is_circulant_hadamard,
                         periodic_autocorrelation, search_all, spectrum)
@@ -29,9 +29,18 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
 EXIT_GUARD = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
 _MAX_SIEVE_BOUND = math.isqrt((1 << 63) // 4 - 1)
+
+
+def available_parallelism() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _order_arg(text: str) -> int:
@@ -249,7 +258,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if hasattr(args, "threads") and args.threads is None:
         args.threads = available_parallelism()
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("ryser: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

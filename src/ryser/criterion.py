@@ -7,11 +7,13 @@ order n to exist; one even order certifies rejection. The test is
 one-directional: survivors are undecided, never confirmed.
 """
 
+import itertools
 import math
 import multiprocessing
+import signal
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .arith import Factorization, factorize, multiplicative_order
 from .errors import NotCandidateForm, RangeTooLarge
@@ -185,18 +187,26 @@ def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
     in order, so the stream never depends on scheduling.
     """
     spans = _validated_spans(u_min, u_max, cap)
-    return _iter_reports(spans, workers)
+    return itertools.chain.from_iterable(run_spans(_sieve_span, spans, workers))
 
 
-def _iter_reports(spans: list[tuple[int, int]],
-                  workers: int) -> Iterator[CriterionReport]:
-    if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            yield from _sieve_span(span)
+def _ignore_sigint() -> None:
+    # Ctrl-C reaches the whole process group; only the parent reacts, and
+    # leaving the pool tears the workers down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
+    """Yield worker(task) for every task, in task order, as results arrive.
+
+    A process pool is used only when it can help. Tasks go one per message,
+    so callers size them; closing the iterator early tears the pool down.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        yield from map(worker, tasks)
         return
-    with multiprocessing.Pool(min(workers, len(spans))) as pool:
-        for chunk in pool.imap(_sieve_span, spans):
-            yield from chunk
+    with multiprocessing.Pool(min(workers, len(tasks)), _ignore_sigint) as pool:
+        yield from pool.imap(worker, tasks)
 
 
 def sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,

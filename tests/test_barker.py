@@ -5,7 +5,7 @@ import pytest
 
 from ryser.barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation,
                           barker_exclusion_report, is_barker, search_barker)
-from ryser.circulant import SignRow
+from ryser.circulant import SignRow, mask_spans
 from ryser.criterion import Verdict
 from ryser.errors import IndexOutOfRange, LengthTooLarge
 
@@ -84,8 +84,14 @@ def test_search_barker_closure_under_symmetries():
             assert alternated in found
 
 
-def test_search_barker_worker_count_invariance():
+def test_search_barker_worker_count_invariance(monkeypatch):
     assert search_barker(17, workers=3) == search_barker(17, workers=1) == []
+    # 256-mask slices split length 13 into several tasks of several slices.
+    monkeypatch.setattr("ryser.circulant.CHUNK_BITS", 8)
+    assert len(mask_spans(13, 2)) > 1
+    rows = search_barker(13, workers=1)
+    assert len(rows) == 4
+    assert search_barker(13, workers=2) == rows
 
 
 def test_search_barker_guard():

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
-                             is_circulant_hadamard, periodic_autocorrelation,
-                             search_all, spectrum)
+                             is_circulant_hadamard, mask_spans,
+                             periodic_autocorrelation, search_all, spectrum)
 from ryser.errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
 from oracles import naive_circulant_solutions, naive_paf
@@ -174,8 +174,15 @@ def test_search_all_row_sums():
         assert abs(sum(row.entries)) == 2
 
 
-def test_search_all_worker_count_invariance():
+def test_search_all_worker_count_invariance(monkeypatch):
     assert search_all(18, workers=3) == search_all(18, workers=1) == []
+    # Two-mask slices split order 4 into several tasks, so the ordered merge
+    # of non-empty task results is exercised.
+    monkeypatch.setattr("ryser.circulant.CHUNK_BITS", 1)
+    assert len(mask_spans(4, 2)) > 1
+    rows = search_all(4, workers=1)
+    assert len(rows) == 8
+    assert search_all(4, workers=2) == rows
 
 
 def test_search_all_guard():

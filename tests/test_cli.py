@@ -1,8 +1,11 @@
 import json
+import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -218,3 +221,49 @@ def test_console_script():
         pytest.skip("console script not on PATH")
     proc = subprocess.run([exe, "check", "12"], capture_output=True, text=True)
     assert proc.returncode == 3
+
+
+# A pooled sieve that takes tens of seconds when run to the end.
+LONG_SIEVE = [sys.executable, "-m", "ryser", "sieve", "1", "200001",
+              "--threads", "2"]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (LONG_SIEVE, 1),
+    ([sys.executable, "-m", "ryser", "search", "barker", "20"], 0),
+], ids=["sieve, one line read", "search, nothing read"])
+def test_closed_stdout_exits_quietly(tmp_path, argv, lines):
+    # Block-buffered stdout, as a user's shell gives it, leaves output for
+    # the flush at interpreter exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    started = time.monotonic()
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err,
+                                env=env)
+        try:
+            for _ in range(lines):
+                assert json.loads(proc.stdout.readline())["u"] == 1
+            proc.stdout.close()
+            assert proc.wait(timeout=30) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+        err.seek(0)
+        assert err.read() == ""
+    assert time.monotonic() - started < 10
+
+
+def test_interrupt_exits_quietly():
+    proc = subprocess.Popen(LONG_SIEVE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert json.loads(proc.stdout.readline())["u"] == 1
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=5)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert "Traceback" not in err.decode()
+    assert "ForkPoolWorker" not in err.decode()
