@@ -38,9 +38,10 @@ def is_barker(seq: SignRow) -> bool:
 def search_barker(length: int, *, workers: int = 1) -> list[SignRow]:
     """All Barker sequences of the given length, by exhaustion.
 
-    Same mask enumeration and lexicographic ordering (+1 before -1) as the
-    circulant search; each shift filter is applied to the whole surviving
-    population at once, and the result never depends on the worker count.
+    Same mask enumeration, two-stage shift filter (bitwise on the masks,
+    then by the definition on the survivors' sign rows) and lexicographic
+    ordering (+1 before -1) as the circulant search; the result never
+    depends on the worker count.
     """
     if not 1 <= length <= MAX_SEARCH_LENGTH:
         raise LengthTooLarge(f"length {length} outside [1, {MAX_SEARCH_LENGTH}]")
@@ -48,9 +49,18 @@ def search_barker(length: int, *, workers: int = 1) -> list[SignRow]:
                                  mask_spans(length, workers), workers), length)
 
 
-def _keep_slice(masks: np.ndarray, length: int) -> list[int]:
-    return filter_shifts(masks, expand_masks(masks, length), range(1, length),
-                         _apaf, 1)
+def _keep_slice(masks: np.ndarray, length: int) -> np.ndarray:
+    shifts = range(1, length)
+    masks = filter_shifts(masks, masks, shifts,
+                          partial(_mask_apaf, length=length), 1)
+    return filter_shifts(masks, expand_masks(masks, length), shifts, _apaf, 1)
+
+
+def _mask_apaf(masks: np.ndarray, k: int, length: int) -> np.ndarray:
+    # h_i * h_{i+k} is -1 exactly where bits i and i+k differ, i < length-k;
+    # the uint8 popcount is widened to a signed type, as in _mask_paf.
+    changes = (masks ^ (masks >> k)) & ((1 << (length - k)) - 1)
+    return (length - k) - 2 * np.bitwise_count(changes).astype(np.int16)
 
 
 def _apaf(signs: np.ndarray, k: int) -> np.ndarray:

@@ -137,8 +137,9 @@ def search_all(n: int, *, workers: int = 1) -> list[SignRow]:
 
     Enumerates the 2^n sign masks (bit i is h_{i+1}, 0 meaning +1) in
     spans, pruning first on the row sum and then on each autocorrelation
-    shift. Results are sorted lexicographically with +1 before -1 and do not
-    depend on the worker count.
+    shift, computed on the masks; the few survivors are confirmed on their
+    sign rows. Results are sorted lexicographically with +1 before -1 and do
+    not depend on the worker count.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
@@ -146,13 +147,21 @@ def search_all(n: int, *, workers: int = 1) -> list[SignRow]:
                                  mask_spans(n, workers), workers), n)
 
 
-def _keep_slice(masks: np.ndarray, n: int) -> list[int]:
+def _keep_slice(masks: np.ndarray, n: int) -> np.ndarray:
     # The row sum must be +-sqrt(n): with c entries flipped it is n - 2c.
-    sums = n - 2 * np.bitwise_count(masks).astype(np.int64)
+    sums = n - 2 * np.bitwise_count(masks).astype(np.int16)
     masks = masks[sums * sums == n]
     # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
-    return filter_shifts(masks, expand_masks(masks, n), range(1, n // 2 + 1),
-                         _paf, 0)
+    shifts = range(1, n // 2 + 1)
+    masks = filter_shifts(masks, masks, shifts, partial(_mask_paf, n=n), 0)
+    return filter_shifts(masks, expand_masks(masks, n), shifts, _paf, 0)
+
+
+def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
+    # h_i * h_{i+k} is -1 exactly where bit i differs from its rotation by k.
+    # The popcount is uint8: widen it to a signed type so n - 2c cannot wrap.
+    rotated = ((masks >> k) | (masks << (n - k))) & ((1 << n) - 1)
+    return n - 2 * np.bitwise_count(masks ^ rotated).astype(np.int16)
 
 
 def _paf(signs: np.ndarray, k: int) -> np.ndarray:
@@ -175,8 +184,9 @@ def mask_spans(n_bits: int, workers: int) -> list[tuple]:
 def scan_span(keep_slice: Callable, task: tuple) -> list[int]:
     """The masks kept by keep_slice(masks, n) from each slice of one task."""
     n, slices = task
-    return [mask for lo, hi in slices
-            for mask in keep_slice(np.arange(lo, hi, dtype=np.uint64), n)]
+    kept = [keep_slice(np.arange(lo, hi, dtype=np.uint64), n)
+            for lo, hi in slices]
+    return np.concatenate(kept).tolist()
 
 
 def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:
@@ -186,15 +196,19 @@ def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def filter_shifts(masks: np.ndarray, signs: np.ndarray, shifts: Iterable[int],
-                  correlation: Callable, bound: int) -> list[int]:
-    """The masks whose rows have |correlation(signs, k)| <= bound for all k."""
+def filter_shifts(masks: np.ndarray, rows: np.ndarray, shifts: Iterable[int],
+                  correlation: Callable, bound: int) -> np.ndarray:
+    """The masks whose rows have |correlation(rows, k)| <= bound for all k.
+
+    rows holds one entry per mask: the masks themselves for a bitwise
+    correlation, or their sign matrix for one computed by the definition.
+    """
     for k in shifts:
-        keep = np.abs(correlation(signs, k)) <= bound
-        masks, signs = masks[keep], signs[keep]
+        keep = np.abs(correlation(rows, k)) <= bound
+        masks, rows = masks[keep], rows[keep]
         if masks.size == 0:
             break
-    return masks.tolist()
+    return masks
 
 
 def sorted_rows(found: Iterable[list[int]], n: int) -> list[SignRow]:

@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--format", choices=("json-lines", "csv"),
                          default="json-lines")
     p_sieve.add_argument("--threads", type=_threads_arg, default=None,
-                         help="worker count (default: available parallelism)")
+                         help="worker count (default and maximum: "
+                              "available parallelism)")
     p_sieve.set_defaults(handler=_cmd_sieve)
 
     p_verify = sub.add_parser(
@@ -249,15 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("kind", choices=("circulant", "barker"))
     p_search.add_argument("size", type=int)
     p_search.add_argument("--threads", type=_threads_arg, default=None,
-                          help="worker count (default: available parallelism)")
+                          help="worker count (default and maximum: "
+                               "available parallelism)")
     p_search.set_defaults(handler=_cmd_search)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "threads") and args.threads is None:
-        args.threads = available_parallelism()
+    if hasattr(args, "threads"):
+        # Extra workers cannot run at once, and the searches cut more tasks
+        # for more workers, so an unclamped count asks for a huge pool.
+        limit = available_parallelism()
+        args.threads = min(args.threads or limit, limit)
     try:
         code = args.handler(args)
         sys.stdout.flush()

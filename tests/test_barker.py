@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from ryser import barker
 from ryser.barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation,
                           barker_exclusion_report, is_barker, search_barker)
 from ryser.circulant import SignRow, mask_spans
@@ -10,6 +12,7 @@ from ryser.criterion import Verdict
 from ryser.errors import IndexOutOfRange, LengthTooLarge
 
 from oracles import naive_apaf, naive_barker_solutions
+from test_circulant import keep_every_mask, probe_masks
 
 BARKER13 = SignRow.from_literal("+++++--++-+-+")
 
@@ -48,6 +51,26 @@ def test_search_barker_matches_exhaustive_oracle():
     for length in range(1, 13):
         expected = naive_barker_solutions(length)
         assert [row.entries for row in search_barker(length)] == expected
+
+
+def test_mask_apaf_matches_oracle_on_every_filtered_shift():
+    rng = random.Random(5)
+    for length in range(1, MAX_SEARCH_LENGTH + 1):
+        masks = probe_masks(rng, length)
+        rows = [SignRow.from_mask(m, length).entries for m in masks]
+        array = np.array(masks, dtype=np.uint64)
+        for k in range(1, length):
+            got = barker._mask_apaf(array, k, length).tolist()
+            assert got == [naive_apaf(row, k) for row in rows], (length, k)
+
+
+def test_search_barker_confirmation_stage_decides_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(barker, "_mask_apaf", keep_every_mask(calls))
+    for length in range(1, 13):
+        expected = naive_barker_solutions(length)
+        assert [row.entries for row in search_barker(length)] == expected
+    assert calls
 
 
 def test_search_barker_known_lengths():

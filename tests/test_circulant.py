@@ -2,8 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from ryser import circulant
 from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
                              is_circulant_hadamard, mask_spans,
                              periodic_autocorrelation, search_all, spectrum)
@@ -16,6 +18,21 @@ ROW4 = SignRow.from_literal("+++-")
 
 def random_row(rng, n):
     return SignRow(tuple(rng.choice((1, -1)) for _ in range(n)))
+
+
+def probe_masks(rng, n):
+    """Edge masks (none, all, top bit alone, alternating) and random ones."""
+    full = (1 << n) - 1
+    edges = [0, full, 1 << (n - 1), 0x5555555 & full]
+    return edges + [rng.getrandbits(n) for _ in range(12)]
+
+
+def keep_every_mask(calls):
+    """A bitwise correlation that counts its calls and keeps every mask."""
+    def correlation(masks, k, **size):
+        calls.append(k)
+        return np.zeros(masks.shape, dtype=np.int16)
+    return correlation
 
 
 def test_sign_row_literal_round_trip():
@@ -154,6 +171,26 @@ def test_search_all_matches_exhaustive_oracle():
     for n in range(1, 11):
         expected = naive_circulant_solutions(n)
         assert [row.entries for row in search_all(n)] == expected
+
+
+def test_mask_paf_matches_oracle_on_every_filtered_shift():
+    rng = random.Random(4)
+    for n in range(1, MAX_SEARCH_ORDER + 1):
+        masks = probe_masks(rng, n)
+        rows = [SignRow.from_mask(m, n).entries for m in masks]
+        array = np.array(masks, dtype=np.uint64)
+        for k in range(1, n // 2 + 1):
+            got = circulant._mask_paf(array, k, n).tolist()
+            assert got == [naive_paf(row, k) for row in rows], (n, k)
+
+
+def test_search_all_confirmation_stage_decides_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(circulant, "_mask_paf", keep_every_mask(calls))
+    for n in range(1, 11):
+        expected = naive_circulant_solutions(n)
+        assert [row.entries for row in search_all(n)] == expected
+    assert calls
 
 
 def test_search_all_small_orders_empty():

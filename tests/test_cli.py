@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -170,6 +171,48 @@ def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+class ProbePool:
+    """Stands in for multiprocessing.Pool: records the requested size and
+    runs the tasks in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, processes, initializer=None):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, worker, tasks):
+        return map(worker, tasks)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sieve", "1", "2001"),
+    ("search", "barker", "13"),
+    ("search", "circulant", "16"),
+])
+def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
+                                                      argv):
+    # Small spans and slices give far more tasks than the 1000 requested
+    # workers would need to each get one.
+    monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 1)
+    monkeypatch.setattr("ryser.circulant.CHUNK_BITS", 4)
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    monkeypatch.setattr("ryser.criterion.multiprocessing",
+                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr(ProbePool, "sizes", [])
+    code, serial, err = run_cli(capsys, *argv, "--threads", "1")
+    assert code == 0 and ProbePool.sizes == []
+    code, out, err = run_cli(capsys, *argv, "--threads", "1000")
+    assert code == 0
+    assert ProbePool.sizes == [3]
+    assert out == serial
 
 
 def test_search_circulant_four(capsys):
