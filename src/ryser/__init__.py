@@ -6,7 +6,7 @@ circulant-spectrum oracles, and searches exhaustively for circulant
 Hadamard rows and Barker sequences at desk scale.
 """
 
-from .arith import (Factorization, euler_phi, factorize, is_prime, mod_pow,
+from .arith import (Factorization, euler_phi, factorize, is_prime,
                     multiplicative_order)
 from .barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation,
                      barker_exclusion_report, is_barker, search_barker)
@@ -21,7 +21,7 @@ from .criterion import (DEFAULT_SIEVE_CAP, CandidateOrder, CriterionReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Factorization", "euler_phi", "factorize", "is_prime", "mod_pow",
+    "Factorization", "euler_phi", "factorize", "is_prime",
     "multiplicative_order",
     "CandidateOrder", "CriterionReport", "Verdict", "WitnessRecord",
     "brock_check", "check_order", "iter_sieve", "parse_candidate", "sieve",

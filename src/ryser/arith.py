@@ -154,13 +154,6 @@ def _brent(n: int) -> int:
             return g
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base^exp mod modulus, in [0, modulus)."""
-    if base < 0 or exp < 0 or modulus < 1:
-        raise ValueError("need base >= 0, exp >= 0, modulus >= 1")
-    return pow(base, exp, modulus)
-
-
 def euler_phi(f: Factorization) -> int:
     """Euler phi of the factored integer, via the product p^(e-1)(p-1)."""
     out = 1

@@ -38,22 +38,21 @@ def is_barker(seq: SignRow) -> bool:
 def search_barker(length: int, *, workers: int = 1) -> list[SignRow]:
     """All Barker sequences of the given length, by exhaustion.
 
-    Same mask enumeration, two-stage shift filter (bitwise on the masks,
-    then by the definition on the survivors' sign rows) and lexicographic
-    ordering (+1 before -1) as the circulant search; the result never
-    depends on the worker count.
+    Same mask enumeration, bitwise shift filter, confirmation of the
+    survivors (here by is_barker) and lexicographic ordering (+1 before -1)
+    as the circulant search; the result never depends on the worker count.
     """
     if not 1 <= length <= MAX_SEARCH_LENGTH:
         raise LengthTooLarge(f"length {length} outside [1, {MAX_SEARCH_LENGTH}]")
     return sorted_rows(run_spans(partial(scan_span, _keep_slice),
-                                 mask_spans(length, workers), workers), length)
+                                 mask_spans(length, workers), workers),
+                       is_barker)
 
 
 def _keep_slice(masks: np.ndarray, length: int) -> np.ndarray:
-    shifts = range(1, length)
-    masks = filter_shifts(masks, masks, shifts,
+    masks = filter_shifts(masks, range(1, length),
                           partial(_mask_apaf, length=length), 1)
-    return filter_shifts(masks, expand_masks(masks, length), shifts, _apaf, 1)
+    return expand_masks(masks, length)
 
 
 def _mask_apaf(masks: np.ndarray, k: int, length: int) -> np.ndarray:
@@ -61,10 +60,6 @@ def _mask_apaf(masks: np.ndarray, k: int, length: int) -> np.ndarray:
     # the uint8 popcount is widened to a signed type, as in _mask_paf.
     changes = (masks ^ (masks >> k)) & ((1 << (length - k)) - 1)
     return (length - k) - 2 * np.bitwise_count(changes).astype(np.int16)
-
-
-def _apaf(signs: np.ndarray, k: int) -> np.ndarray:
-    return (signs[:, :-k] * signs[:, k:]).sum(axis=1, dtype=np.int64)
 
 
 def barker_exclusion_report(length: int) -> CriterionReport:

@@ -7,7 +7,6 @@ Hadamard test is exact integer autocorrelation; the floating spectrum is a
 cross-check only and never decides a verdict.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -99,22 +98,16 @@ def is_circulant_hadamard(row: SignRow) -> bool:
 def spectrum(row: SignRow) -> SpectrumReport:
     """Eigenvalues b_s = R(w_n^(s-1)) of circ(row), s = 1..n.
 
-    R(x) = h_1 + h_2 x + ... + h_n x^(n-1), evaluated directly by Horner's
-    rule at the n-th roots of unity; no Fourier matrix is ever built. O(n^2),
-    which is plenty since n stays small on all spectral paths.
+    R(x) = h_1 + h_2 x + ... + h_n x^(n-1), evaluated at every n-th root of
+    unity at once as n * ifft(row): the inverse DFT sums against
+    exp(+2i*pi*s*k/n) and divides by n, which matches ROOT_CONVENTION.
     """
     n = row.n
-    eigenvalues = []
-    for s in range(n):
-        x = cmath.exp(2j * cmath.pi * s / n)
-        acc = 0j
-        for h in reversed(row.entries):
-            acc = acc * x + h
-        eigenvalues.append(acc)
+    eigenvalues = tuple((n * np.fft.ifft(row.entries)).tolist())
     magnitudes = tuple(abs(b) for b in eigenvalues)
     root = math.sqrt(n)
     max_deviation = max(abs(m - root) for m in magnitudes)
-    return SpectrumReport(tuple(eigenvalues), magnitudes, max_deviation)
+    return SpectrumReport(eigenvalues, magnitudes, max_deviation)
 
 
 def group_coefficients(row: SignRow, n1: int) -> tuple[int, ...]:
@@ -137,14 +130,15 @@ def search_all(n: int, *, workers: int = 1) -> list[SignRow]:
 
     Enumerates the 2^n sign masks (bit i is h_{i+1}, 0 meaning +1) in
     spans, pruning first on the row sum and then on each autocorrelation
-    shift, computed on the masks; the few survivors are confirmed on their
-    sign rows. Results are sorted lexicographically with +1 before -1 and do
-    not depend on the worker count.
+    shift, computed on the masks; the few survivors are confirmed by
+    is_circulant_hadamard. Results are sorted lexicographically with +1
+    before -1 and do not depend on the worker count.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
     return sorted_rows(run_spans(partial(scan_span, _keep_slice),
-                                 mask_spans(n, workers), workers), n)
+                                 mask_spans(n, workers), workers),
+                       is_circulant_hadamard)
 
 
 def _keep_slice(masks: np.ndarray, n: int) -> np.ndarray:
@@ -153,8 +147,8 @@ def _keep_slice(masks: np.ndarray, n: int) -> np.ndarray:
     masks = masks[sums * sums == n]
     # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
     shifts = range(1, n // 2 + 1)
-    masks = filter_shifts(masks, masks, shifts, partial(_mask_paf, n=n), 0)
-    return filter_shifts(masks, expand_masks(masks, n), shifts, _paf, 0)
+    masks = filter_shifts(masks, shifts, partial(_mask_paf, n=n), 0)
+    return expand_masks(masks, n)
 
 
 def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -162,10 +156,6 @@ def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
     # The popcount is uint8: widen it to a signed type so n - 2c cannot wrap.
     rotated = ((masks >> k) | (masks << (n - k))) & ((1 << n) - 1)
     return n - 2 * np.bitwise_count(masks ^ rotated).astype(np.int16)
-
-
-def _paf(signs: np.ndarray, k: int) -> np.ndarray:
-    return (signs * np.roll(signs, -k, axis=1)).sum(axis=1, dtype=np.int64)
 
 
 def mask_spans(n_bits: int, workers: int) -> list[tuple]:
@@ -181,8 +171,8 @@ def mask_spans(n_bits: int, workers: int) -> list[tuple]:
             for i in range(0, len(slices), per_task)]
 
 
-def scan_span(keep_slice: Callable, task: tuple) -> list[int]:
-    """The masks kept by keep_slice(masks, n) from each slice of one task."""
+def scan_span(keep_slice: Callable, task: tuple) -> list[list[int]]:
+    """The sign rows that keep_slice(masks, n) keeps from one task."""
     n, slices = task
     kept = [keep_slice(np.arange(lo, hi, dtype=np.uint64), n)
             for lo, hi in slices]
@@ -196,22 +186,18 @@ def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def filter_shifts(masks: np.ndarray, rows: np.ndarray, shifts: Iterable[int],
+def filter_shifts(masks: np.ndarray, shifts: Iterable[int],
                   correlation: Callable, bound: int) -> np.ndarray:
-    """The masks whose rows have |correlation(rows, k)| <= bound for all k.
-
-    rows holds one entry per mask: the masks themselves for a bitwise
-    correlation, or their sign matrix for one computed by the definition.
-    """
+    """The masks with |correlation(masks, k)| <= bound for every shift k."""
     for k in shifts:
-        keep = np.abs(correlation(rows, k)) <= bound
-        masks, rows = masks[keep], rows[keep]
+        masks = masks[np.abs(correlation(masks, k)) <= bound]
         if masks.size == 0:
             break
     return masks
 
 
-def sorted_rows(found: Iterable[list[int]], n: int) -> list[SignRow]:
-    """Decode the masks of every task, sorted with +1 before -1."""
-    return sorted((SignRow.from_mask(mask, n) for masks in found
-                   for mask in masks), key=SignRow.literal)
+def sorted_rows(found: Iterable[list[list[int]]],
+                confirm: Callable[[SignRow], bool]) -> list[SignRow]:
+    """The rows of every task that pass confirm, sorted with +1 before -1."""
+    rows = (SignRow(entries) for task in found for entries in task)
+    return sorted(filter(confirm, rows), key=SignRow.literal)

@@ -15,7 +15,9 @@ import math
 import os
 import sys
 import time
+from typing import Callable
 
+from .arith import MAX_INPUT
 from .barker import search_barker
 from .circulant import (SignRow, is_circulant_hadamard,
                         periodic_autocorrelation, search_all, spectrum)
@@ -33,7 +35,7 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
-_MAX_SIEVE_BOUND = math.isqrt((1 << 63) // 4 - 1)
+_MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
 
 def available_parallelism() -> int:
@@ -43,41 +45,32 @@ def available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
-def _order_arg(text: str) -> int:
+def _bounded_int(low: int, high: float, message: str) -> Callable[[str], int]:
+    """A parser of decimal integers in [low, high]; message if outside."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
+
+
+_order_arg = _bounded_int(1, MAX_INPUT - 1,
+                          "n must be a positive integer below 2^63")
+_sieve_bound_arg = _bounded_int(
+    1, _MAX_SIEVE_BOUND,
+    f"bound must keep n = 4u^2 below 2^63 (1 <= u <= {_MAX_SIEVE_BOUND})")
+_positive_arg = _bounded_int(1, math.inf, "must be a positive integer")
+
+
+def _row_arg(text: str) -> SignRow:
     try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 1 <= value < 1 << 63:
-        raise argparse.ArgumentTypeError("n must be a positive integer below 2^63")
-    return value
-
-
-def _sieve_bound_arg(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 1 <= value <= _MAX_SIEVE_BOUND:
-        raise argparse.ArgumentTypeError(
-            f"bound must keep n = 4u^2 below 2^63 (1 <= u <= {_MAX_SIEVE_BOUND})")
-    return value
-
-
-def _row_arg(text: str) -> str:
-    if not text or set(text) - {"+", "-"}:
-        raise argparse.ArgumentTypeError("row literal must match [+-]+")
-    return text
-
-
-def _threads_arg(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("thread count must be at least 1")
-    return value
+        return SignRow.from_literal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _witness_dict(w: WitnessRecord) -> dict:
@@ -130,7 +123,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_verify_row(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    row = SignRow.from_literal(args.row)
+    row = args.row
     result = {
         "literal": row.literal(),
         "n": row.n,
@@ -147,8 +140,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
     raw_cap = os.environ.get("RYSER_SIEVE_CAP")
     if raw_cap is not None:
         try:
-            cap = int(raw_cap, 10)
-        except ValueError:
+            cap = _positive_arg(raw_cap)
+        except argparse.ArgumentTypeError:
             print(f"ryser: invalid RYSER_SIEVE_CAP value {raw_cap!r}",
                   file=sys.stderr)
             return EXIT_USAGE
@@ -234,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("u_max", type=_sieve_bound_arg)
     p_sieve.add_argument("--format", choices=("json-lines", "csv"),
                          default="json-lines")
-    p_sieve.add_argument("--threads", type=_threads_arg, default=None,
+    p_sieve.add_argument("--threads", type=_positive_arg, default=None,
                          help="worker count (default and maximum: "
                               "available parallelism)")
     p_sieve.set_defaults(handler=_cmd_sieve)
@@ -249,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "search", help="exhaustive circulant Hadamard or Barker search")
     p_search.add_argument("kind", choices=("circulant", "barker"))
     p_search.add_argument("size", type=int)
-    p_search.add_argument("--threads", type=_threads_arg, default=None,
+    p_search.add_argument("--threads", type=_positive_arg, default=None,
                           help="worker count (default and maximum: "
                                "available parallelism)")
     p_search.set_defaults(handler=_cmd_search)

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from ryser.arith import (Factorization, euler_phi, factorize, is_prime,
-                         mod_pow, multiplicative_order)
+                         multiplicative_order)
 from ryser.errors import NotCoprime
 
-from oracles import naive_factor, naive_is_prime, naive_mod_pow, naive_order
+from oracles import naive_factor, naive_is_prime, naive_order
 
 
 def test_factorize_examples():
@@ -62,31 +62,6 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == naive_is_prime(n)
     assert is_prime(2 ** 61 - 1)
     assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 6, 9) == 1
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(5, 0, 1) == 0
-    assert mod_pow(2, 10, 25) == 24
-
-
-def test_mod_pow_matches_naive_oracle():
-    rng = random.Random(3)
-    for _ in range(400):
-        base = rng.randrange(0, 1000)
-        exp = rng.randrange(0, 51)
-        modulus = rng.randrange(1, 1001)
-        assert mod_pow(base, exp, modulus) == naive_mod_pow(base, exp, modulus)
-
-
-def test_mod_pow_validates():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-    with pytest.raises(ValueError):
-        mod_pow(-1, 3, 5)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 5)
 
 
 def test_euler_phi_examples():

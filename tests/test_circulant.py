@@ -156,6 +156,8 @@ def test_autocorrelation_transforms_to_squared_magnitudes():
             w = cmath.exp(2j * cmath.pi * s / n)
             total = sum(paf[k] * w ** k for k in range(n))
             assert abs(total - abs(eigenvalues[s]) ** 2) <= 1e-9 * n
+            direct = sum(h * w ** i for i, h in enumerate(row.entries))
+            assert abs(eigenvalues[s] - direct) <= 1e-9 * n
 
 
 def test_search_all_order_four():

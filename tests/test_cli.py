@@ -157,9 +157,11 @@ def test_sieve_cap_via_environment(capsys, monkeypatch):
     assert code == 4
     assert err
 
-    monkeypatch.setenv("RYSER_SIEVE_CAP", "xyz")
-    code, out, err = run_cli(capsys, "sieve", "1", "9")
-    assert code == 2
+    for bad in ["xyz", "0", "-5"]:
+        monkeypatch.setenv("RYSER_SIEVE_CAP", bad)
+        code, out, err = run_cli(capsys, "sieve", "1", "9")
+        assert code == 2
+        assert "invalid RYSER_SIEVE_CAP value" in err
 
 
 def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):
