@@ -4,15 +4,15 @@ spectrum cross-check, eigenvalue coefficient grouping, exhaustive search.
 A circulant matrix is determined by its first row, so rows stand in for
 matrices throughout and the full matrix is never materialized. The binding
 Hadamard test is exact integer autocorrelation; the floating spectrum is a
-cross-check only and never decides a verdict.
+cross-check only and never decides a verdict. numpy is imported by the
+functions that compute with it, so importing this module does not load it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
@@ -102,6 +102,8 @@ def spectrum(row: SignRow) -> SpectrumReport:
     unity at once as n * ifft(row): the inverse DFT sums against
     exp(+2i*pi*s*k/n) and divides by n, which matches ROOT_CONVENTION.
     """
+    import numpy as np
+
     n = row.n
     eigenvalues = tuple((n * np.fft.ifft(row.entries)).tolist())
     magnitudes = tuple(abs(b) for b in eigenvalues)
@@ -136,22 +138,29 @@ def search_all(n: int, *, workers: int = 1) -> list[SignRow]:
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
-    return sorted_rows(run_spans(partial(scan_span, _keep_slice),
-                                 mask_spans(n, workers), workers),
+    # Pool workers fork from this process: load numpy once, here.
+    import numpy  # noqa: F401
+    return sorted_rows(run_spans(scan_span, mask_spans(n, workers), workers),
                        is_circulant_hadamard)
 
 
 def _keep_slice(masks: np.ndarray, n: int) -> np.ndarray:
+    import numpy as np
+
     # The row sum must be +-sqrt(n): with c entries flipped it is n - 2c.
     sums = n - 2 * np.bitwise_count(masks).astype(np.int16)
     masks = masks[sums * sums == n]
     # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
-    shifts = range(1, n // 2 + 1)
-    masks = filter_shifts(masks, shifts, partial(_mask_paf, n=n), 0)
+    for k in range(1, n // 2 + 1):
+        if masks.size == 0:
+            break
+        masks = masks[_mask_paf(masks, k, n=n) == 0]
     return expand_masks(masks, n)
 
 
 def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
+    import numpy as np
+
     # h_i * h_{i+k} is -1 exactly where bit i differs from its rotation by k.
     # The popcount is uint8: widen it to a signed type so n - 2c cannot wrap.
     rotated = ((masks >> k) | (masks << (n - k))) & ((1 << n) - 1)
@@ -171,29 +180,23 @@ def mask_spans(n_bits: int, workers: int) -> list[tuple]:
             for i in range(0, len(slices), per_task)]
 
 
-def scan_span(keep_slice: Callable, task: tuple) -> list[list[int]]:
-    """The sign rows that keep_slice(masks, n) keeps from one task."""
+def scan_span(task: tuple) -> list[list[int]]:
+    """The sign rows that pass the bitwise prune in one task's slices."""
+    import numpy as np
+
     n, slices = task
-    kept = [keep_slice(np.arange(lo, hi, dtype=np.uint64), n)
+    kept = [_keep_slice(np.arange(lo, hi, dtype=np.uint64), n)
             for lo, hi in slices]
     return np.concatenate(kept).tolist()
 
 
 def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:
     """Masks to a sign matrix: bit i of a mask is h_{i+1}, 0 meaning +1."""
+    import numpy as np
+
     shifts = np.arange(n, dtype=np.uint64)
     bits = ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.int8)
     return 1 - 2 * bits
-
-
-def filter_shifts(masks: np.ndarray, shifts: Iterable[int],
-                  correlation: Callable, bound: int) -> np.ndarray:
-    """The masks with |correlation(masks, k)| <= bound for every shift k."""
-    for k in shifts:
-        masks = masks[np.abs(correlation(masks, k)) <= bound]
-        if masks.size == 0:
-            break
-    return masks
 
 
 def sorted_rows(found: Iterable[list[list[int]]],

@@ -198,7 +198,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.kind == "circulant":
             rows = search_all(args.size, workers=args.threads)
         else:
-            rows = search_barker(args.size, workers=args.threads)
+            rows = search_barker(args.size)
     except (OrderTooLarge, LengthTooLarge) as exc:
         print(f"ryser: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -243,14 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("kind", choices=("circulant", "barker"))
     p_search.add_argument("size", type=int)
     p_search.add_argument("--threads", type=_positive_arg, default=None,
-                          help="worker count (default and maximum: "
-                               "available parallelism)")
+                          help="worker count for the circulant search "
+                               "(default and maximum: available "
+                               "parallelism); the Barker search runs in "
+                               "one process")
     p_search.set_defaults(handler=_cmd_search)
     return parser
 
 
+def _rows_as_positionals(argv: list[str]) -> list[str]:
+    """argv with '--' put before a lone verify-row literal starting with '-'.
+
+    argparse reads an argument such as '-+++' as an unknown option, so it
+    would never reach the row parser.
+    """
+    if (len(argv) == 2 and argv[0] == "verify-row"
+            and set(argv[1]) <= {"+", "-"} and argv[1].startswith("-")):
+        return [argv[0], "--", argv[1]]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_rows_as_positionals(argv))
     if hasattr(args, "threads"):
         # Extra workers cannot run at once, and the searches cut more tasks
         # for more workers, so an unclamped count asks for a huge pool.

@@ -1,18 +1,17 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from ryser import barker
 from ryser.barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation,
                           barker_exclusion_report, is_barker, search_barker)
-from ryser.circulant import SignRow, mask_spans
+from ryser.circulant import SignRow
 from ryser.criterion import Verdict
 from ryser.errors import IndexOutOfRange, LengthTooLarge
 
 from oracles import naive_apaf, naive_barker_solutions
-from test_circulant import keep_every_mask, probe_masks
+from test_circulant import probe_masks
 
 BARKER13 = SignRow.from_literal("+++++--++-+-+")
 
@@ -48,33 +47,41 @@ def test_is_barker_examples():
 
 
 def test_search_barker_matches_exhaustive_oracle():
-    for length in range(1, 13):
+    for length in range(1, 15):
         expected = naive_barker_solutions(length)
         assert [row.entries for row in search_barker(length)] == expected
 
 
-def test_mask_apaf_matches_oracle_on_every_filtered_shift():
+def test_mask_apaf_on_integers_matches_oracle():
     rng = random.Random(5)
     for length in range(1, MAX_SEARCH_LENGTH + 1):
-        masks = probe_masks(rng, length)
-        rows = [SignRow.from_mask(m, length).entries for m in masks]
-        array = np.array(masks, dtype=np.uint64)
-        for k in range(1, length):
-            got = barker._mask_apaf(array, k, length).tolist()
-            assert got == [naive_apaf(row, k) for row in rows], (length, k)
+        for mask in probe_masks(rng, length):
+            row = SignRow.from_mask(mask, length).entries
+            for k in range(1, length):
+                assert (barker._mask_apaf(mask, k, length)
+                        == naive_apaf(row, k)), (length, mask, k)
 
 
 def test_search_barker_confirmation_stage_decides_alone(monkeypatch):
-    calls = []
-    monkeypatch.setattr(barker, "_mask_apaf", keep_every_mask(calls))
+    # A bound no correlation can exceed keeps every branch, so all 2^L
+    # sequences reach the expansion and is_barker alone decides.
+    expanded = []
+    original = barker.expand_masks
+
+    def expand_masks(masks, length):
+        expanded.append(len(masks))
+        return original(masks, length)
+
+    monkeypatch.setattr(barker, "_PRUNE_BOUND", MAX_SEARCH_LENGTH)
+    monkeypatch.setattr(barker, "expand_masks", expand_masks)
     for length in range(1, 13):
         expected = naive_barker_solutions(length)
         assert [row.entries for row in search_barker(length)] == expected
-    assert calls
+    assert expanded == [1 << length for length in range(1, 13)]
 
 
 def test_search_barker_known_lengths():
-    nonempty = {length for length in range(1, 15) if search_barker(length)}
+    nonempty = {length for length in range(1, 25) if search_barker(length)}
     assert nonempty == {1, 2, 3, 4, 5, 7, 11, 13}
     assert BARKER13 in search_barker(13)
 
@@ -105,16 +112,6 @@ def test_search_barker_closure_under_symmetries():
             alternated = tuple(h if i % 2 == 0 else -h
                                for i, h in enumerate(entries))
             assert alternated in found
-
-
-def test_search_barker_worker_count_invariance(monkeypatch):
-    assert search_barker(17, workers=3) == search_barker(17, workers=1) == []
-    # 256-mask slices split length 13 into several tasks of several slices.
-    monkeypatch.setattr("ryser.circulant.CHUNK_BITS", 8)
-    assert len(mask_spans(13, 2)) > 1
-    rows = search_barker(13, workers=1)
-    assert len(rows) == 4
-    assert search_barker(13, workers=2) == rows
 
 
 def test_search_barker_guard():

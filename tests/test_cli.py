@@ -99,6 +99,17 @@ def test_verify_row_not_hadamard(capsys):
     assert result["paf"][1] == 4
 
 
+@pytest.mark.parametrize("literal, hadamard", [("-+++", True), ("-", True),
+                                               ("--", False)])
+def test_verify_row_literal_may_start_with_minus(capsys, literal, hadamard):
+    code, out, err = run_cli(capsys, "verify-row", literal)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["input"]["row"] == literal
+    assert doc["result"]["n"] == len(literal)
+    assert doc["result"]["hadamard"] is hadamard
+
+
 def test_verify_row_malformed(capsys):
     code, out, err = run_cli(capsys, "verify-row", "+x+-")
     assert code == 2
@@ -213,7 +224,8 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
     assert code == 0 and ProbePool.sizes == []
     code, out, err = run_cli(capsys, *argv, "--threads", "1000")
     assert code == 0
-    assert ProbePool.sizes == [3]
+    # The Barker search takes milliseconds, so it never starts a pool.
+    assert ProbePool.sizes == ([] if "barker" in argv else [3])
     assert out == serial
 
 
@@ -258,6 +270,19 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["verdict"] == "REJECTED"
+
+
+def test_numpy_loads_only_where_it_computes():
+    probe = ("import sys; import ryser.cli; "
+             "assert 'numpy' not in sys.modules, 'import'; "
+             "ryser.cli.main(['check', '36']); "
+             "ryser.cli.main(['sieve', '1', '9', '--threads', '1']); "
+             "assert 'numpy' not in sys.modules, 'check or sieve'; "
+             "ryser.cli.main(['verify-row', '+++-']); "
+             "assert 'numpy' in sys.modules, 'verify-row'")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script():
