@@ -7,8 +7,8 @@ Hadamard orders, so the order criterion can exclude them; that reduction is
 reported as background, never proven here.
 
 The search grows each sequence from both ends inward and prunes on the
-outer correlations, in one process; numpy is loaded only to expand its few
-survivors into sign rows.
+outer correlations, in one process; numpy is loaded only when there are
+survivors to expand into sign rows.
 """
 
 import dataclasses
@@ -59,10 +59,12 @@ def search_barker(length: int) -> list[SignRow]:
 
 
 def _grow_inward(length: int) -> list[list[int]]:
-    import numpy as np
-
     found = []
     _grow(0, 0, length, found)
+    if not found:
+        return []
+    import numpy as np
+
     full = (1 << length) - 1
     masks = found + [mask ^ full for mask in found]
     return expand_masks(np.array(masks, dtype=np.uint64), length).tolist()

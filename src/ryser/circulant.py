@@ -4,24 +4,26 @@ spectrum cross-check, eigenvalue coefficient grouping, exhaustive search.
 A circulant matrix is determined by its first row, so rows stand in for
 matrices throughout and the full matrix is never materialized. The binding
 Hadamard test is exact integer autocorrelation; the floating spectrum is a
-cross-check only and never decides a verdict. numpy is imported by the
-functions that compute with it, so importing this module does not load it.
+cross-check only and never decides a verdict. The exhaustive search runs
+in one process over the sign masks of row sum +sqrt(n) and adds their
+negations. numpy is imported by the functions that compute with it, so
+importing this module or searching a non-square order does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
 MAX_SEARCH_ORDER = 28
 
-# 2^16 masks per filtering slice: keeps peak memory per worker in the low
-# megabytes while numpy still dominates the per-slice overhead.
-CHUNK_BITS = 16
+# Bits of the low-mask table every search block is built from: at 2^16 (about
+# 1 MB) numpy work, not the loop over high parts, sets the pace at n = 25.
+LOW_BITS = 16
 
 # Relative tolerance (times sqrt(n)) for every floating spectrum comparison.
 SPECTRUM_RTOL = 1e-9
@@ -127,35 +129,53 @@ def group_coefficients(row: SignRow, n1: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def search_all(n: int, *, workers: int = 1) -> list[SignRow]:
+def search_all(n: int) -> list[SignRow]:
     """All first rows of circulant Hadamard matrices of order n, exhaustively.
 
-    Enumerates the 2^n sign masks (bit i is h_{i+1}, 0 meaning +1) in
-    spans, pruning first on the row sum and then on each autocorrelation
-    shift, computed on the masks; the few survivors are confirmed by
-    is_circulant_hadamard. Results are sorted lexicographically with +1
-    before -1 and do not depend on the worker count.
+    A row sums to n - 2c with c entries flipped and must sum to +-sqrt(n),
+    so only the masks with c = (n - sqrt(n)) / 2 bits set (bit i is h_{i+1},
+    0 meaning +1) are built and pruned on each autocorrelation shift. Their
+    survivors and negations (the -sqrt(n) class) are confirmed by
+    is_circulant_hadamard and sorted with +1 before -1, in this process.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
-    # Pool workers fork from this process: load numpy once, here.
-    import numpy  # noqa: F401
-    return sorted_rows(run_spans(scan_span, mask_spans(n, workers), workers),
-                       is_circulant_hadamard)
+    if math.isqrt(n) ** 2 != n:
+        return []
+    # One task, no pool: bench/tracing.py wraps run_spans and expand_masks.
+    return sorted_rows(run_spans(_search_class, [n], 1), is_circulant_hadamard)
 
 
-def _keep_slice(masks: np.ndarray, n: int) -> np.ndarray:
+def _search_class(n: int) -> list[list[int]]:
     import numpy as np
 
-    # The row sum must be +-sqrt(n): with c entries flipped it is n - 2c.
-    sums = n - 2 * np.bitwise_count(masks).astype(np.int16)
-    masks = masks[sums * sums == n]
-    # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
-    for k in range(1, n // 2 + 1):
-        if masks.size == 0:
-            break
-        masks = masks[_mask_paf(masks, k, n=n) == 0]
-    return expand_masks(masks, n)
+    kept = []
+    for masks in _class_masks(n, (n - math.isqrt(n)) // 2):
+        # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
+        for k in range(1, n // 2 + 1):
+            if masks.size == 0:
+                break
+            masks = masks[_mask_paf(masks, k, n=n) == 0]
+        kept.append(masks)
+    masks = np.concatenate(kept)
+    masks = np.concatenate([masks, masks ^ ((1 << n) - 1)])
+    return expand_masks(masks, n).tolist()
+
+
+def _class_masks(n_bits: int, weight: int) -> Iterator[np.ndarray]:
+    """Every n_bits-bit mask with weight bits set, once, in blocks: one per
+    high part above the low LOW_BITS, joined to each low mask that fills it.
+    """
+    import numpy as np
+
+    width = min(n_bits, LOW_BITS)
+    low = np.arange(1 << width, dtype=np.uint64)
+    counts = np.bitwise_count(low)
+    by_weight = [low[counts == w] for w in range(width + 1)]
+    for hi in range(1 << (n_bits - width)):
+        need = weight - hi.bit_count()
+        if 0 <= need <= width:
+            yield by_weight[need] | (hi << width)
 
 
 def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -165,29 +185,6 @@ def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
     # The popcount is uint8: widen it to a signed type so n - 2c cannot wrap.
     rotated = ((masks >> k) | (masks << (n - k))) & ((1 << n) - 1)
     return n - 2 * np.bitwise_count(masks ^ rotated).astype(np.int16)
-
-
-def mask_spans(n_bits: int, workers: int) -> list[tuple]:
-    """Tasks (n_bits, slices) covering [0, 2^n_bits) in ascending order.
-
-    Slices hold at most 2^CHUNK_BITS masks. A task is one pool message, and
-    about four per worker balance the load without a round trip per slice.
-    """
-    step = 1 << min(CHUNK_BITS, n_bits)
-    slices = [(lo, lo + step) for lo in range(0, 1 << n_bits, step)]
-    per_task = -(-len(slices) // (4 * max(workers, 1)))
-    return [(n_bits, slices[i:i + per_task])
-            for i in range(0, len(slices), per_task)]
-
-
-def scan_span(task: tuple) -> list[list[int]]:
-    """The sign rows that pass the bitwise prune in one task's slices."""
-    import numpy as np
-
-    n, slices = task
-    kept = [_keep_slice(np.arange(lo, hi, dtype=np.uint64), n)
-            for lo, hi in slices]
-    return np.concatenate(kept).tolist()
 
 
 def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:

@@ -196,7 +196,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     try:
         if args.kind == "circulant":
-            rows = search_all(args.size, workers=args.threads)
+            rows = search_all(args.size)
         else:
             rows = search_barker(args.size)
     except (OrderTooLarge, LengthTooLarge) as exc:
@@ -243,10 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("kind", choices=("circulant", "barker"))
     p_search.add_argument("size", type=int)
     p_search.add_argument("--threads", type=_positive_arg, default=None,
-                          help="worker count for the circulant search "
-                               "(default and maximum: available "
-                               "parallelism); the Barker search runs in "
-                               "one process")
+                          help="accepted and ignored: both searches run "
+                               "in one process")
     p_search.set_defaults(handler=_cmd_search)
     return parser
 
@@ -267,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_rows_as_positionals(argv))
     if hasattr(args, "threads"):
-        # Extra workers cannot run at once, and the searches cut more tasks
-        # for more workers, so an unclamped count asks for a huge pool.
+        # Extra workers cannot run at once, so an unclamped count would only
+        # ask the sieve for a pool of idle processes.
         limit = available_parallelism()
         args.threads = min(args.threads or limit, limit)
     try:

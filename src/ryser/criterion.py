@@ -199,8 +199,9 @@ def _ignore_sigint() -> None:
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
-    A process pool is used only when it can help. Tasks go one per message,
-    so callers size them; closing the iterator early tears the pool down.
+    A process pool is used only when it can help, so only for the sieve:
+    the searches pass one task. Tasks go one per message, so callers size
+    them; closing the iterator early tears the pool down.
     """
     if workers <= 1 or len(tasks) <= 1:
         yield from map(worker, tasks)

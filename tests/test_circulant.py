@@ -7,8 +7,8 @@ import pytest
 
 from ryser import circulant
 from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
-                             is_circulant_hadamard, mask_spans,
-                             periodic_autocorrelation, search_all, spectrum)
+                             is_circulant_hadamard, periodic_autocorrelation,
+                             search_all, spectrum)
 from ryser.errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
 from oracles import naive_circulant_solutions, naive_paf
@@ -213,15 +213,32 @@ def test_search_all_row_sums():
         assert abs(sum(row.entries)) == 2
 
 
-def test_search_all_worker_count_invariance(monkeypatch):
-    assert search_all(18, workers=3) == search_all(18, workers=1) == []
-    # Two-mask slices split order 4 into several tasks, so the ordered merge
-    # of non-empty task results is exercised.
-    monkeypatch.setattr("ryser.circulant.CHUNK_BITS", 1)
-    assert len(mask_spans(4, 2)) > 1
-    rows = search_all(4, workers=1)
+def test_class_masks_hold_each_mask_of_the_class_once():
+    for n in range(1, 21):
+        every = np.arange(1 << n, dtype=np.uint64)
+        counts = np.bitwise_count(every)
+        for c in range(n + 1):
+            got = np.concatenate(list(circulant._class_masks(n, c)))
+            assert got.dtype == np.uint64
+            assert np.array_equal(np.sort(got), every[counts == c]), (n, c)
+
+
+def test_class_masks_count_at_order_25():
+    got = np.sort(np.concatenate(list(circulant._class_masks(25, 10))))
+    assert got.size == math.comb(25, 10) == 3268760
+    assert np.all(np.diff(got) > 0) and got[-1] < 1 << 25
+    assert np.all(np.bitwise_count(got) == 10)
+
+
+def test_search_all_gathers_survivors_from_several_blocks(monkeypatch):
+    rows = search_all(4)
     assert len(rows) == 8
-    assert search_all(4, workers=2) == rows
+    # A one-bit low table splits order 4 into several high blocks, so the
+    # survivors of more than one block are joined before the negations.
+    monkeypatch.setattr(circulant, "LOW_BITS", 1)
+    assert len(list(circulant._class_masks(4, 1))) > 1
+    assert search_all(4) == rows
+    assert search_all(9) == []
 
 
 def test_search_all_guard():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import types
+from pathlib import Path
 
 import pytest
 
@@ -212,10 +214,9 @@ class ProbePool:
 ])
 def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
                                                       argv):
-    # Small spans and slices give far more tasks than the 1000 requested
-    # workers would need to each get one.
+    # Small spans give far more sieve tasks than the 1000 requested workers
+    # would need to each get one.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 1)
-    monkeypatch.setattr("ryser.circulant.CHUNK_BITS", 4)
     monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
     monkeypatch.setattr("ryser.criterion.multiprocessing",
                         types.SimpleNamespace(Pool=ProbePool))
@@ -224,8 +225,8 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
     assert code == 0 and ProbePool.sizes == []
     code, out, err = run_cli(capsys, *argv, "--threads", "1000")
     assert code == 0
-    # The Barker search takes milliseconds, so it never starts a pool.
-    assert ProbePool.sizes == ([] if "barker" in argv else [3])
+    # The searches take milliseconds, so they never start a pool.
+    assert ProbePool.sizes == ([] if argv[0] == "search" else [3])
     assert out == serial
 
 
@@ -244,6 +245,19 @@ def test_search_barker_thirteen(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "count 4"
     assert "+++++--++-+-+" in lines[:-1]
+
+
+def test_search_output_matches_the_benchmark_references(capsys):
+    # bench/refs.json holds the digests of these outputs at the seed commit,
+    # so every later search must print them byte for byte.
+    refs_path = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+    refs = json.loads(refs_path.read_text())
+    for argv in (("search", "circulant", "4"), ("search", "circulant", "25"),
+                 ("search", "barker", "13"), ("search", "barker", "24")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == refs[" ".join(argv)], argv
 
 
 def test_search_guards(capsys):
@@ -273,16 +287,20 @@ def test_module_entry_point():
 
 
 def test_numpy_loads_only_where_it_computes():
-    probe = ("import sys; import ryser.cli; "
-             "assert 'numpy' not in sys.modules, 'import'; "
-             "ryser.cli.main(['check', '36']); "
-             "ryser.cli.main(['sieve', '1', '9', '--threads', '1']); "
-             "assert 'numpy' not in sys.modules, 'check or sieve'; "
-             "ryser.cli.main(['verify-row', '+++-']); "
-             "assert 'numpy' in sys.modules, 'verify-row'")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    for computes in (["verify-row", "+++-"], ["search", "circulant", "25"]):
+        probe = ("import sys; import ryser.cli; "
+                 "assert 'numpy' not in sys.modules, 'import'; "
+                 "ryser.cli.main(['check', '36']); "
+                 "ryser.cli.main(['sieve', '1', '9', '--threads', '1']); "
+                 "assert 'numpy' not in sys.modules, 'check or sieve'; "
+                 "ryser.cli.main(['search', 'barker', '24']); "
+                 "ryser.cli.main(['search', 'circulant', '28']); "
+                 "assert 'numpy' not in sys.modules, 'empty searches'; "
+                 f"ryser.cli.main({computes!r}); "
+                 f"assert 'numpy' in sys.modules, {' '.join(computes)!r}")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script():
