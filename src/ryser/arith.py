@@ -1,5 +1,4 @@
-"""Exact integer arithmetic: factorization, modular powers, Euler phi,
-multiplicative order.
+"""Exact integer arithmetic: factorization, Euler phi, multiplicative order.
 
 Everything downstream trusts the parity of the orders computed here, so this
 module uses plain integer arithmetic throughout; no floating point anywhere.

@@ -3,18 +3,17 @@
 A Barker sequence is a +-1 sequence whose off-peak aperiodic
 autocorrelations all lie in {-1, 0, 1}; the known lengths are 1, 2, 3, 4,
 5, 7, 11 and 13. Even lengths beyond 4 reduce classically to circulant
-Hadamard orders, so the order criterion can exclude them; that reduction is
-reported as background, never proven here.
+Hadamard orders, so when `ryser check L` prints REJECTED for an even length
+L > 4, no Barker sequence of length L exists; that reduction is background,
+never proven here.
 
 The search grows each sequence from both ends inward and prunes on the
 outer correlations, in one process; numpy is loaded only when there are
 survivors to expand into sign rows.
 """
 
-import dataclasses
-
 from .circulant import SignRow, expand_masks, sorted_rows
-from .criterion import CriterionReport, Verdict, check_order, run_spans
+from .criterion import run_spans
 from .errors import IndexOutOfRange, LengthTooLarge
 
 MAX_SEARCH_LENGTH = 24
@@ -96,25 +95,3 @@ def _mask_apaf(mask: int, k: int, length: int) -> int:
     return (length - k) - 2 * ((mask ^ (mask >> k))
                                & ((1 << (length - k)) - 1)).bit_count()
 
-
-def barker_exclusion_report(length: int) -> CriterionReport:
-    """Apply the order criterion to an even length and annotate the outcome.
-
-    A REJECTED verdict excludes Barker sequences of that length via the
-    classical reduction to circulant Hadamard matrices. Lengths not of
-    candidate form come back NOT_APPLICABLE.
-    """
-    if length % 2 != 0 or length <= 4:
-        raise ValueError(f"length must be even and greater than 4, got {length}")
-    report = check_order(length)
-    if report.verdict is Verdict.REJECTED:
-        note = (f"no Barker sequence of length {length}: the order criterion "
-                "rejects it as a circulant Hadamard order, and Barker "
-                "sequences of even length reduce classically to such orders")
-    elif report.verdict is Verdict.NOT_APPLICABLE:
-        note = (f"length {length} is not 4*u^2 with u odd, so the order "
-                "criterion does not apply")
-    else:
-        note = (f"the order criterion does not decide length {length}; "
-                "no Barker conclusion follows")
-    return dataclasses.replace(report, annotation=note)

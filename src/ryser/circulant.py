@@ -25,9 +25,6 @@ MAX_SEARCH_ORDER = 28
 # 1 MB) numpy work, not the loop over high parts, sets the pace at n = 25.
 LOW_BITS = 16
 
-# Relative tolerance (times sqrt(n)) for every floating spectrum comparison.
-SPECTRUM_RTOL = 1e-9
-
 ROOT_CONVENTION = "w_n = exp(2i*pi/n), b_s = R(w_n^(s-1))"
 
 
@@ -55,18 +52,8 @@ class SignRow:
             raise ValueError(f"row literal must match [+-]+, got {text!r}")
         return cls(tuple(1 if ch == "+" else -1 for ch in text))
 
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "SignRow":
-        """Decode an n-bit mask, bit i holding h_{i+1}, 0 meaning +1."""
-        if n < 1 or not 0 <= mask < (1 << n):
-            raise ValueError(f"mask {mask} out of range for n={n}")
-        return cls(tuple(-1 if (mask >> i) & 1 else 1 for i in range(n)))
-
     def literal(self) -> str:
         return "".join("+" if h == 1 else "-" for h in self.entries)
-
-    def mask(self) -> int:
-        return sum(1 << i for i, h in enumerate(self.entries) if h == -1)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .arith import MAX_INPUT
 from .barker import search_barker
 from .circulant import (SignRow, is_circulant_hadamard,
                         periodic_autocorrelation, search_all, spectrum)
-from .criterion import (DEFAULT_SIEVE_CAP, CriterionReport, Verdict,
-                        WitnessRecord, check_order, iter_sieve)
+from .criterion import (DEFAULT_SIEVE_CAP, MAX_SIEVE_BOUND, CriterionReport,
+                        Verdict, WitnessRecord, check_order, iter_sieve)
 from .errors import LengthTooLarge, OrderTooLarge, RangeTooLarge
 
 SCHEMA_VERSION = "1"
@@ -33,9 +33,6 @@ EXIT_NOT_APPLICABLE = 3
 EXIT_GUARD = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
-
-# Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
-_MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
 
 def available_parallelism() -> int:
@@ -61,8 +58,8 @@ def _bounded_int(low: int, high: float, message: str) -> Callable[[str], int]:
 _order_arg = _bounded_int(1, MAX_INPUT - 1,
                           "n must be a positive integer below 2^63")
 _sieve_bound_arg = _bounded_int(
-    1, _MAX_SIEVE_BOUND,
-    f"bound must keep n = 4u^2 below 2^63 (1 <= u <= {_MAX_SIEVE_BOUND})")
+    1, MAX_SIEVE_BOUND,
+    f"bound must keep n = 4u^2 below 2^63 (1 <= u <= {MAX_SIEVE_BOUND})")
 _positive_arg = _bounded_int(1, math.inf, "must be a positive integer")
 
 
@@ -79,16 +76,13 @@ def _witness_dict(w: WitnessRecord) -> dict:
 
 
 def _report_dict(report: CriterionReport) -> dict:
-    doc = {
+    return {
         "n": report.n,
         "applicable": report.applicable,
         "witnesses": [_witness_dict(w) for w in report.witnesses],
         "verdict": report.verdict.value,
         "rejection_primes": list(report.rejection_primes),
     }
-    if report.annotation is not None:
-        doc["annotation"] = report.annotation
-    return doc
 
 
 def _spectrum_dict(report) -> dict:

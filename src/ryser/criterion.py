@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .arith import Factorization, factorize, multiplicative_order
+from .arith import MAX_INPUT, Factorization, factorize, multiplicative_order
 from .errors import NotCandidateForm, RangeTooLarge
 
 DEFAULT_SIEVE_CAP = 10 ** 7
 
-PARITY_ODD = "odd"
-PARITY_EVEN = "even"
+# Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
+MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
 # Candidates handed to one sieve worker at a time; large enough that task
 # dispatch never dominates, small enough to stream promptly.
@@ -64,25 +64,40 @@ class WitnessRecord:
     a: int
     m: int
     order: int
-    parity: str
     j_index: int
 
-    def __post_init__(self):
-        expected = PARITY_EVEN if self.order % 2 == 0 else PARITY_ODD
-        if self.parity != expected:
-            raise ValueError("parity must match order mod 2")
+    @property
+    def parity(self) -> str:
+        return "even" if self.order % 2 == 0 else "odd"
 
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Outcome of the rejection criterion for one order n."""
+    """Outcome of the rejection criterion for one order n.
+
+    Everything but n is derived from the witnesses, one per prime of n in
+    ascending order: none means n is not of candidate form, and any even
+    order rejects n.
+    """
 
     n: int
-    applicable: bool
     witnesses: tuple[WitnessRecord, ...]
-    verdict: Verdict
-    rejection_primes: tuple[int, ...]
-    annotation: str | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return bool(self.witnesses)
+
+    @property
+    def rejection_primes(self) -> tuple[int, ...]:
+        return tuple(w.p for w in self.witnesses if w.order % 2 == 0)
+
+    @property
+    def verdict(self) -> Verdict:
+        if not self.witnesses:
+            return Verdict.NOT_APPLICABLE
+        if self.rejection_primes:
+            return Verdict.REJECTED
+        return Verdict.NOT_DECIDED
 
 
 def parse_candidate(n: int) -> CandidateOrder:
@@ -107,23 +122,14 @@ def theorem_witnesses(candidate: CandidateOrder) -> CriterionReport:
     dividing u it is n / p^(2a). Coprimality of p and its modulus is
     structural, so every order is defined.
     """
-    pairs = [(2, 1)] + list(candidate.u_factors.factors)
     witnesses = []
-    rejection = []
-    for p, a in pairs:
+    for p, a in [(2, 1)] + list(candidate.u_factors.factors):
         power = p ** (2 * a)
         m = candidate.n // power
-        order = multiplicative_order(p, m)
-        parity = PARITY_EVEN if order % 2 == 0 else PARITY_ODD
-        witnesses.append(WitnessRecord(p=p, a=a, m=m, order=order,
-                                       parity=parity,
+        witnesses.append(WitnessRecord(p=p, a=a, m=m,
+                                       order=multiplicative_order(p, m),
                                        j_index=1 + power % candidate.n))
-        if parity == PARITY_EVEN:
-            rejection.append(p)
-    verdict = Verdict.REJECTED if rejection else Verdict.NOT_DECIDED
-    return CriterionReport(n=candidate.n, applicable=True,
-                           witnesses=tuple(witnesses), verdict=verdict,
-                           rejection_primes=tuple(rejection))
+    return CriterionReport(n=candidate.n, witnesses=tuple(witnesses))
 
 
 def check_order(n: int) -> CriterionReport:
@@ -131,9 +137,7 @@ def check_order(n: int) -> CriterionReport:
     try:
         candidate = parse_candidate(n)
     except NotCandidateForm:
-        return CriterionReport(n=n, applicable=False, witnesses=(),
-                               verdict=Verdict.NOT_APPLICABLE,
-                               rejection_primes=())
+        return CriterionReport(n=n, witnesses=())
     return theorem_witnesses(candidate)
 
 
@@ -155,13 +159,10 @@ def brock_check(n: int, n1: int) -> list[int]:
     return flagged
 
 
-def _report_for_u(u: int) -> CriterionReport:
-    return theorem_witnesses(CandidateOrder(4 * u * u, u, factorize(u)))
-
-
 def _sieve_span(span: tuple[int, int]) -> list[CriterionReport]:
     lo, hi = span
-    return [_report_for_u(u) for u in range(lo, hi, 2)]
+    return [theorem_witnesses(CandidateOrder(4 * u * u, u, factorize(u)))
+            for u in range(lo, hi, 2)]
 
 
 def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
@@ -170,6 +171,9 @@ def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
             raise ValueError(f"{name} must be an odd positive integer, got {value}")
     if u_min > u_max:
         raise ValueError(f"u_min {u_min} exceeds u_max {u_max}")
+    if u_max > MAX_SIEVE_BOUND:
+        raise ValueError(f"u_max {u_max} exceeds {MAX_SIEVE_BOUND}, the "
+                         "largest u with n = 4u^2 below 2^63")
     count = (u_max - u_min) // 2 + 1
     if count > cap:
         raise RangeTooLarge(f"{count} candidates exceed the sieve cap of {cap}")
@@ -208,9 +212,3 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
         return
     with multiprocessing.Pool(min(workers, len(tasks)), _ignore_sigint) as pool:
         yield from pool.imap(worker, tasks)
-
-
-def sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
-          workers: int = 1) -> list[CriterionReport]:
-    """Reports for every odd u in [u_min, u_max], as an ascending list."""
-    return list(iter_sieve(u_min, u_max, cap=cap, workers=workers))

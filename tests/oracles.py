@@ -66,6 +66,15 @@ def naive_apaf(entries, k):
     return sum(entries[i] * entries[i + k] for i in range(length - k))
 
 
+def mask_to_entries(mask, n):
+    """Decode an n-bit sign mask: bit i holds h_{i+1}, 0 meaning +1."""
+    return tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
+
+
+def entries_to_mask(entries):
+    return sum(1 << i for i, h in enumerate(entries) if h == -1)
+
+
 def literal_key(entries):
     # Lexicographic order with +1 before -1, matching '+' < '-' literals.
     return tuple(0 if h == 1 else 1 for h in entries)

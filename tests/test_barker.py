@@ -5,12 +5,11 @@ import pytest
 
 from ryser import barker
 from ryser.barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation,
-                          barker_exclusion_report, is_barker, search_barker)
+                          is_barker, search_barker)
 from ryser.circulant import SignRow
-from ryser.criterion import Verdict
 from ryser.errors import IndexOutOfRange, LengthTooLarge
 
-from oracles import naive_apaf, naive_barker_solutions
+from oracles import mask_to_entries, naive_apaf, naive_barker_solutions
 from test_circulant import probe_masks
 
 BARKER13 = SignRow.from_literal("+++++--++-+-+")
@@ -56,7 +55,7 @@ def test_mask_apaf_on_integers_matches_oracle():
     rng = random.Random(5)
     for length in range(1, MAX_SEARCH_LENGTH + 1):
         for mask in probe_masks(rng, length):
-            row = SignRow.from_mask(mask, length).entries
+            row = mask_to_entries(mask, length)
             for k in range(1, length):
                 assert (barker._mask_apaf(mask, k, length)
                         == naive_apaf(row, k)), (length, mask, k)
@@ -121,28 +120,3 @@ def test_search_barker_guard():
     with pytest.raises(LengthTooLarge):
         search_barker(0)
 
-
-def test_barker_exclusion_report_rejected():
-    report = barker_exclusion_report(36)
-    assert report.verdict is Verdict.REJECTED
-    assert report.rejection_primes == (2, 3)
-    assert report.annotation and "Barker" in report.annotation
-
-
-def test_barker_exclusion_report_not_applicable():
-    report = barker_exclusion_report(12)
-    assert report.verdict is Verdict.NOT_APPLICABLE
-    assert report.annotation
-
-
-def test_barker_exclusion_report_undecided():
-    report = barker_exclusion_report(21316)
-    assert report.verdict is Verdict.NOT_DECIDED
-    assert report.annotation
-
-
-def test_barker_exclusion_report_guards():
-    with pytest.raises(ValueError):
-        barker_exclusion_report(4)
-    with pytest.raises(ValueError):
-        barker_exclusion_report(7)

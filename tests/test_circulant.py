@@ -11,7 +11,8 @@ from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
                              search_all, spectrum)
 from ryser.errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
-from oracles import naive_circulant_solutions, naive_paf
+from oracles import (entries_to_mask, mask_to_entries,
+                     naive_circulant_solutions, naive_paf)
 
 ROW4 = SignRow.from_literal("+++-")
 
@@ -40,13 +41,16 @@ def test_sign_row_literal_round_trip():
     assert row.entries == (1, -1, 1, -1, -1)
     assert row.n == 5
     assert row.literal() == "+-+--"
-    assert SignRow.from_mask(row.mask(), 5) == row
+    assert mask_to_entries(entries_to_mask(row.entries), 5) == row.entries
 
 
 def test_sign_row_mask_convention():
-    assert SignRow.from_mask(0, 4).literal() == "++++"
-    assert SignRow.from_mask(0b0001, 4).literal() == "-+++"
-    assert SignRow.from_mask(0b1000, 4).literal() == "+++-"
+    masks = [0, 0b0001, 0b1000]
+    signs = circulant.expand_masks(np.array(masks, dtype=np.uint64), 4)
+    assert [SignRow(tuple(r)).literal() for r in signs.tolist()] == [
+        "++++", "-+++", "+++-"]
+    assert [mask_to_entries(m, 4) for m in masks] == [
+        tuple(r) for r in signs.tolist()]
 
 
 def test_sign_row_validates():
@@ -58,8 +62,6 @@ def test_sign_row_validates():
         SignRow.from_literal("+x-")
     with pytest.raises(ValueError):
         SignRow.from_literal("")
-    with pytest.raises(ValueError):
-        SignRow.from_mask(16, 4)
 
 
 def test_paf_examples():
@@ -179,7 +181,7 @@ def test_mask_paf_matches_oracle_on_every_filtered_shift():
     rng = random.Random(4)
     for n in range(1, MAX_SEARCH_ORDER + 1):
         masks = probe_masks(rng, n)
-        rows = [SignRow.from_mask(m, n).entries for m in masks]
+        rows = [mask_to_entries(m, n) for m in masks]
         array = np.array(masks, dtype=np.uint64)
         for k in range(1, n // 2 + 1):
             got = circulant._mask_paf(array, k, n).tolist()

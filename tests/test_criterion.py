@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
 from ryser.arith import factorize
-from ryser.criterion import (CandidateOrder, Verdict, brock_check,
-                             check_order, iter_sieve, parse_candidate, sieve,
-                             theorem_witnesses)
+from ryser.criterion import (MAX_SIEVE_BOUND, CandidateOrder, CriterionReport,
+                             Verdict, brock_check, check_order, iter_sieve,
+                             parse_candidate, theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import naive_factor, naive_order
@@ -81,6 +82,9 @@ def test_theorem_witnesses_rejects_196_with_one_odd_witness():
     assert (w2.p, w2.m, w2.order, w2.parity, w2.j_index) == (2, 49, 21, "odd", 5)
     assert (w7.p, w7.m, w7.order, w7.parity, w7.j_index) == (7, 4, 2, "even", 50)
     assert report.rejection_primes == (7,)
+    # A report holds only its witnesses; the verdict follows from them.
+    assert [f.name for f in dataclasses.fields(report)] == ["n", "witnesses"]
+    assert CriterionReport(196, (w2,)).verdict is Verdict.NOT_DECIDED
 
 
 def test_theorem_witnesses_passes_21316():
@@ -150,7 +154,7 @@ def test_never_rejects_four():
 
 
 def test_sieve_small_range():
-    reports = sieve(1, 9)
+    reports = list(iter_sieve(1, 9))
     assert [r.n for r in reports] == [4, 36, 100, 196, 324]
     assert [r.verdict for r in reports] == (
         [Verdict.NOT_DECIDED] + [Verdict.REJECTED] * 4)
@@ -159,34 +163,43 @@ def test_sieve_small_range():
 
 
 def test_sieve_single_candidate():
-    [report] = sieve(1, 1)
+    [report] = iter_sieve(1, 1)
     assert report.n == 4
     assert report.verdict is Verdict.NOT_DECIDED
 
 
 def test_sieve_survivors_to_145():
-    reports = sieve(1, 145)
+    reports = list(iter_sieve(1, 145))
     survivors = [math.isqrt(r.n // 4) for r in reports
                  if r.verdict is Verdict.NOT_DECIDED]
     assert survivors == [1, 73, 89]
 
 
-def test_sieve_streaming_matches_list():
-    assert list(iter_sieve(1, 45)) == sieve(1, 45)
-
-
 def test_sieve_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
-    assert sieve(1, 99, workers=3) == sieve(1, 99, workers=1)
+    assert (list(iter_sieve(1, 99, workers=3))
+            == list(iter_sieve(1, 99, workers=1)))
 
 
 def test_sieve_validates_bounds():
+    # Validation happens at the call, before any report is computed.
     for bad in [(2, 10), (3, 1), (0, 9), (1, 8)]:
         with pytest.raises(ValueError):
-            sieve(*bad)
+            iter_sieve(*bad)
+
+
+def test_sieve_bound_ceiling():
+    assert MAX_SIEVE_BOUND == 1518500249
+    [report] = iter_sieve(MAX_SIEVE_BOUND, MAX_SIEVE_BOUND)
+    assert report.n == 4 * MAX_SIEVE_BOUND ** 2 < 2 ** 63
+    above = MAX_SIEVE_BOUND + 2
+    assert 4 * above ** 2 >= 2 ** 63
+    for bad in [(above, above), (1, above)]:
+        with pytest.raises(ValueError, match="u_max"):
+            iter_sieve(*bad)
 
 
 def test_sieve_cap():
     with pytest.raises(RangeTooLarge):
-        sieve(1, 99, cap=10)
-    assert len(sieve(1, 99, cap=50)) == 50
+        iter_sieve(1, 99, cap=10)
+    assert len(list(iter_sieve(1, 99, cap=50))) == 50
