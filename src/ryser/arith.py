@@ -6,7 +6,7 @@ module uses plain integer arithmetic throughout; no floating point anywhere.
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotCoprime
 
@@ -19,18 +19,20 @@ _TRIAL_LIMIT = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple("Factorization", [
+        ("factors", tuple[tuple[int, int], ...])])):
     """Prime factorization as (prime, exponent) pairs, ascending by prime.
 
     The empty tuple represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
         previous = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= previous:
                 raise ValueError("primes must be strictly increasing")
             if not is_prime(p):
@@ -38,6 +40,7 @@ class Factorization:
             if e < 1:
                 raise ValueError("exponents must be at least 1")
             previous = p
+        return super().__new__(cls, factors)
 
     def value(self) -> int:
         """Recompose the factored integer."""

@@ -13,8 +13,7 @@ importing this module or searching a non-square order does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
@@ -28,18 +27,20 @@ LOW_BITS = 16
 ROOT_CONVENTION = "w_n = exp(2i*pi/n), b_s = R(w_n^(s-1))"
 
 
-@dataclass(frozen=True)
-class SignRow:
+class SignRow(NamedTuple("SignRow", [("entries", tuple[int, ...])])):
     """First row (h_1 .. h_n) of a circulant matrix with entries +1 or -1."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) < 1:
+    def __new__(cls, entries: Iterable[int]):
+        entries = tuple(entries)
+        if len(entries) < 1:
             raise ValueError("row must have length at least 1")
-        if any(h not in (1, -1) for h in self.entries):
+        if any(h not in (1, -1) for h in entries):
             raise ValueError("entries must be +1 or -1")
+        return super().__new__(cls, entries)
 
     @property
     def n(self) -> int:
@@ -56,8 +57,7 @@ class SignRow:
         return "".join("+" if h == 1 else "-" for h in self.entries)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Eigenvalues of a circulant row and their deviation from sqrt(n)."""
 
     eigenvalues: tuple[complex, ...]

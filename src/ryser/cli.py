@@ -9,8 +9,6 @@ and 141 when the reader of stdout goes away.
 """
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -96,6 +94,8 @@ def _spectrum_dict(report) -> dict:
 
 def _emit_envelope(command: str, input_echo: dict, result: dict,
                    started: float) -> None:
+    import json
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -130,6 +130,8 @@ def _cmd_verify_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_sieve(args: argparse.Namespace) -> int:
+    import json
+
     cap = DEFAULT_SIEVE_CAP
     raw_cap = os.environ.get("RYSER_SIEVE_CAP")
     if raw_cap is not None:
@@ -153,6 +155,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
     survivors = []
     writer = None
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["u", "n", "verdict", "rejection_primes", "witnesses"])
     for report in reports:

@@ -11,9 +11,8 @@ import itertools
 import math
 import multiprocessing
 import signal
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import MAX_INPUT, Factorization, factorize, multiplicative_order
 from .errors import NotCandidateForm, RangeTooLarge
@@ -34,25 +33,25 @@ class Verdict(str, Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class CandidateOrder:
+class CandidateOrder(NamedTuple("CandidateOrder", [
+        ("n", int), ("u", int), ("u_factors", Factorization)])):
     """An order n = 4u^2 with u odd, carrying the factorization of u."""
 
-    n: int
-    u: int
-    u_factors: Factorization
+    __slots__ = ()
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.u < 1 or self.u % 2 == 0:
+    def __new__(cls, n: int, u: int, u_factors: Factorization):
+        if u < 1 or u % 2 == 0:
             raise ValueError("u must be an odd positive integer")
-        if self.n != 4 * self.u * self.u:
+        if n != 4 * u * u:
             raise ValueError("n must equal 4*u^2")
-        if self.u_factors.value() != self.u:
+        if u_factors.value() != u:
             raise ValueError("u_factors must recompose to u")
+        return super().__new__(cls, n, u, u_factors)
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     """Order parity of one prime p of n, with modulus m = n / p^(2a).
 
     Even parity certifies rejection of n. j_index ties the witness to the
@@ -71,8 +70,7 @@ class WitnessRecord:
         return "even" if self.order % 2 == 0 else "odd"
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of the rejection criterion for one order n.
 
     Everything but n is derived from the witnesses, one per prime of n in

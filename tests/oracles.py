@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive: repeated multiplication, full trial
 division, exhaustive enumeration. The library must agree with these on every
-value the tests freeze.
+value the tests freeze. check_record states the contract every ryser record
+keeps.
 """
 
 import itertools
+import pickle
+
+import pytest
 
 
 def naive_mod_pow(base, exp, modulus):
@@ -94,3 +98,18 @@ def naive_barker_solutions(length):
     rows = [row for row in all_sign_rows(length)
             if all(abs(naive_apaf(row, k)) <= 1 for k in range(1, length))]
     return sorted(rows, key=literal_key)
+
+
+def check_record(make):
+    """Records are immutable, equal and hash-equal when their fields are,
+    shown as Name(field=...), and survive the pickling a worker pool does."""
+    record, twin = make(), make()
+    assert record == twin and hash(record) == hash(twin)
+    fields = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], getattr(twin, twin._fields[0]))
+    with pytest.raises(AttributeError):
+        record.extra = None
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record

@@ -7,7 +7,7 @@ from ryser.arith import (Factorization, euler_phi, factorize, is_prime,
                          multiplicative_order)
 from ryser.errors import NotCoprime
 
-from oracles import naive_factor, naive_is_prime, naive_order
+from oracles import check_record, naive_factor, naive_is_prime, naive_order
 
 
 def test_factorize_examples():
@@ -49,12 +49,16 @@ def test_factorize_rejects_out_of_domain():
 
 
 def test_factorization_validates_shape():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
         Factorization(((4, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^primes must be strictly increasing$"):
         Factorization(((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^exponents must be at least 1$"):
         Factorization(((2, 0),))
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        factorize(12)._replace(factors=((4, 1),))
+    check_record(lambda: factorize(21316))
+    assert repr(factorize(12)) == "Factorization(factors=((2, 2), (3, 1)))"
 
 
 def test_is_prime_matches_trial_division():

@@ -11,7 +11,7 @@ from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
                              search_all, spectrum)
 from ryser.errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
-from oracles import (entries_to_mask, mask_to_entries,
+from oracles import (check_record, entries_to_mask, mask_to_entries,
                      naive_circulant_solutions, naive_paf)
 
 ROW4 = SignRow.from_literal("+++-")
@@ -54,10 +54,16 @@ def test_sign_row_mask_convention():
 
 
 def test_sign_row_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^row must have length at least 1$"):
         SignRow(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entries must be \+1 or -1$"):
         SignRow((1, 0, -1))
+    with pytest.raises(ValueError, match=r"^entries must be \+1 or -1$"):
+        ROW4._replace(entries=(1, 0))
+    assert SignRow([1, -1]).entries == (1, -1)
+    assert ROW4._replace(entries=[1, -1]).entries == (1, -1)
+    check_record(lambda: SignRow.from_literal("+++-"))
+    check_record(lambda: spectrum(ROW4))
     with pytest.raises(ValueError):
         SignRow.from_literal("+x-")
     with pytest.raises(ValueError):

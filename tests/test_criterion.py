@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -9,7 +8,7 @@ from ryser.criterion import (MAX_SIEVE_BOUND, CandidateOrder, CriterionReport,
                              parse_candidate, theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
-from oracles import naive_factor, naive_order
+from oracles import check_record, naive_factor, naive_order
 
 
 def test_parse_candidate_examples():
@@ -49,12 +48,18 @@ def test_parse_candidate_accepts_exactly_odd_square_quotients():
 
 
 def test_candidate_order_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^u_factors must recompose to u$"):
         CandidateOrder(36, 3, factorize(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^u must be an odd positive integer$"):
         CandidateOrder(16, 2, factorize(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must equal 4\*u\^2$"):
         CandidateOrder(30, 3, factorize(3))
+    with pytest.raises(ValueError, match=r"^n must equal 4\*u\^2$"):
+        parse_candidate(36)._replace(n=30)
+    # The three records of a verdict keep the same contract.
+    check_record(lambda: parse_candidate(36))
+    check_record(lambda: check_order(196))
+    check_record(lambda: check_order(196).witnesses[0])
 
 
 def test_theorem_witnesses_boundary_four():
@@ -83,7 +88,7 @@ def test_theorem_witnesses_rejects_196_with_one_odd_witness():
     assert (w7.p, w7.m, w7.order, w7.parity, w7.j_index) == (7, 4, 2, "even", 50)
     assert report.rejection_primes == (7,)
     # A report holds only its witnesses; the verdict follows from them.
-    assert [f.name for f in dataclasses.fields(report)] == ["n", "witnesses"]
+    assert report._fields == ("n", "witnesses")
     assert CriterionReport(196, (w2,)).verdict is Verdict.NOT_DECIDED
 
 
