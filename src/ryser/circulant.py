@@ -4,25 +4,24 @@ spectrum cross-check, eigenvalue coefficient grouping, exhaustive search.
 A circulant matrix is determined by its first row, so rows stand in for
 matrices throughout and the full matrix is never materialized. The binding
 Hadamard test is exact integer autocorrelation; the floating spectrum is a
-cross-check only and never decides a verdict. The exhaustive search runs
-in one process over the sign masks of row sum +sqrt(n) and adds their
-negations. numpy is imported by the functions that compute with it, so
-importing this module or searching a non-square order does not load it.
+cross-check only and never decides a verdict. The exhaustive search first
+settles every order where no row can exist (n not a square, or n > 1 not
+divisible by 4), then walks the sign masks of row sum +sqrt(n) as Python
+ints in one process and adds their negations. numpy is imported by the
+functions that compute with it, so importing this module or searching an
+order with no row does not load it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
 MAX_SEARCH_ORDER = 28
-
-# Bits of the low-mask table every search block is built from: at 2^16 (about
-# 1 MB) numpy work, not the loop over high parts, sets the pace at n = 25.
-LOW_BITS = 16
 
 ROOT_CONVENTION = "w_n = exp(2i*pi/n), b_s = R(w_n^(s-1))"
 
@@ -119,59 +118,45 @@ def group_coefficients(row: SignRow, n1: int) -> tuple[int, ...]:
 def search_all(n: int) -> list[SignRow]:
     """All first rows of circulant Hadamard matrices of order n, exhaustively.
 
-    A row sums to n - 2c with c entries flipped and must sum to +-sqrt(n),
-    so only the masks with c = (n - sqrt(n)) / 2 bits set (bit i is h_{i+1},
-    0 meaning +1) are built and pruned on each autocorrelation shift. Their
-    survivors and negations (the -sqrt(n) class) are confirmed by
-    is_circulant_hadamard and sorted with +1 before -1, in this process.
+    Two facts (Turyn, Pacific J. Math. 15, 1965) settle most orders before
+    any mask is built. A row sums to n - 2c with c entries flipped and must
+    sum to +-sqrt(n), so n is a square. And PAF_k = n - 2d_k, where d_k
+    counts the i with h_i != h_{i+k}; the product of h_i * h_{i+k} over all
+    i is 1, so d_k is even, PAF_k = n (mod 4) and no shift reaches 0 unless
+    4 divides n. For the orders left, only the masks with
+    c = (n - sqrt(n)) / 2 bits set (bit i is h_{i+1}, 0 meaning +1) are
+    walked and pruned on each autocorrelation shift. Their survivors and
+    negations (the -sqrt(n) class) are confirmed by is_circulant_hadamard
+    and sorted with +1 before -1, in this process.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
-    if math.isqrt(n) ** 2 != n:
+    if math.isqrt(n) ** 2 != n or (n > 1 and n % 4):
         return []
     # One task, no pool: bench/tracing.py wraps run_spans and expand_masks.
     return sorted_rows(run_spans(_search_class, [n], 1), is_circulant_hadamard)
 
 
 def _search_class(n: int) -> list[list[int]]:
-    import numpy as np
-
-    kept = []
-    for masks in _class_masks(n, (n - math.isqrt(n)) // 2):
+    found = []
+    for flipped in itertools.combinations(range(n), (n - math.isqrt(n)) // 2):
+        mask = sum(1 << i for i in flipped)
         # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
-        for k in range(1, n // 2 + 1):
-            if masks.size == 0:
-                break
-            masks = masks[_mask_paf(masks, k, n=n) == 0]
-        kept.append(masks)
-    masks = np.concatenate(kept)
-    masks = np.concatenate([masks, masks ^ ((1 << n) - 1)])
-    return expand_masks(masks, n).tolist()
-
-
-def _class_masks(n_bits: int, weight: int) -> Iterator[np.ndarray]:
-    """Every n_bits-bit mask with weight bits set, once, in blocks: one per
-    high part above the low LOW_BITS, joined to each low mask that fills it.
-    """
+        if all(_mask_paf(mask, k, n) == 0 for k in range(1, n // 2 + 1)):
+            found.append(mask)
+    if not found:
+        return []
     import numpy as np
 
-    width = min(n_bits, LOW_BITS)
-    low = np.arange(1 << width, dtype=np.uint64)
-    counts = np.bitwise_count(low)
-    by_weight = [low[counts == w] for w in range(width + 1)]
-    for hi in range(1 << (n_bits - width)):
-        need = weight - hi.bit_count()
-        if 0 <= need <= width:
-            yield by_weight[need] | (hi << width)
+    full = (1 << n) - 1
+    masks = found + [mask ^ full for mask in found]
+    return expand_masks(np.array(masks, dtype=np.uint64), n).tolist()
 
 
-def _mask_paf(masks: np.ndarray, k: int, n: int) -> np.ndarray:
-    import numpy as np
-
+def _mask_paf(mask: int, k: int, n: int) -> int:
     # h_i * h_{i+k} is -1 exactly where bit i differs from its rotation by k.
-    # The popcount is uint8: widen it to a signed type so n - 2c cannot wrap.
-    rotated = ((masks >> k) | (masks << (n - k))) & ((1 << n) - 1)
-    return n - 2 * np.bitwise_count(masks ^ rotated).astype(np.int16)
+    rotated = ((mask >> k) | (mask << (n - k))) & ((1 << n) - 1)
+    return n - 2 * (mask ^ rotated).bit_count()
 
 
 def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:

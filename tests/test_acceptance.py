@@ -107,12 +107,14 @@ def test_circulant_search_finds_only_order_four():
     for n in range(2, MAX_SEARCH_ORDER + 1):
         if n != 4:
             assert search_all(n) == [], f"unexpected solutions at n={n}"
-    started = time.perf_counter()
     assert search_all(25) == []
+    # n = 16 is the largest order up to the guard that still walks masks.
+    started = time.perf_counter()
+    assert search_all(16) == []
     elapsed = time.perf_counter() - started
-    assert elapsed < 60.0, f"n=25 took {elapsed:.1f} s"
+    assert elapsed < 60.0, f"n=16 took {elapsed:.1f} s"
     _passed("exhaustive circulant search: 8 rows at n=4, empty elsewhere "
-            f"through n={MAX_SEARCH_ORDER} (n=25 in {elapsed:.2f} s)")
+            f"through n={MAX_SEARCH_ORDER} (n=16 in {elapsed:.2f} s)")
 
 
 def test_exact_and_floating_hadamard_tests_agree():

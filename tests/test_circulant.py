@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -30,9 +31,9 @@ def probe_masks(rng, n):
 
 def keep_every_mask(calls):
     """A bitwise correlation that counts its calls and keeps every mask."""
-    def correlation(masks, k, **size):
+    def correlation(mask, k, n):
         calls.append(k)
-        return np.zeros(masks.shape, dtype=np.int16)
+        return 0
     return correlation
 
 
@@ -186,12 +187,40 @@ def test_search_all_matches_exhaustive_oracle():
 def test_mask_paf_matches_oracle_on_every_filtered_shift():
     rng = random.Random(4)
     for n in range(1, MAX_SEARCH_ORDER + 1):
-        masks = probe_masks(rng, n)
-        rows = [mask_to_entries(m, n) for m in masks]
-        array = np.array(masks, dtype=np.uint64)
-        for k in range(1, n // 2 + 1):
-            got = circulant._mask_paf(array, k, n).tolist()
-            assert got == [naive_paf(row, k) for row in rows], (n, k)
+        for mask in probe_masks(rng, n):
+            row = mask_to_entries(mask, n)
+            for k in range(1, n // 2 + 1):
+                assert circulant._mask_paf(mask, k, n) == naive_paf(row, k), (
+                    n, k, mask)
+
+
+def test_paf_is_congruent_to_the_order_mod_4():
+    # The fact behind the early return for n > 1 not divisible by 4.
+    for n in range(1, 13):
+        for entries in itertools.product((1, -1), repeat=n):
+            for k in range(n):
+                assert (naive_paf(entries, k) - n) % 4 == 0, (entries, k)
+    rng = random.Random(8)
+    for n in range(13, MAX_SEARCH_ORDER + 1):
+        for _ in range(20):
+            entries = mask_to_entries(rng.getrandbits(n), n)
+            for k in range(n):
+                assert (naive_paf(entries, k) - n) % 4 == 0, (entries, k)
+
+
+def test_search_all_matches_a_sweep_of_every_mask():
+    # Neither the row-sum class nor the mod-4 return: all 2^n masks, each
+    # shift's PAF read off as a popcount.
+    for n in range(1, 21):
+        masks = np.arange(1 << n, dtype=np.uint64)
+        full = np.uint64((1 << n) - 1)
+        for k in range(1, n):
+            rotated = ((masks >> np.uint64(k))
+                       | (masks << np.uint64(n - k))) & full
+            changes = np.bitwise_count(masks ^ rotated).astype(np.int64)
+            masks = masks[n - 2 * changes == 0]
+        found = {entries_to_mask(row.entries) for row in search_all(n)}
+        assert found == set(masks.tolist()), n
 
 
 def test_search_all_confirmation_stage_decides_alone(monkeypatch):
@@ -219,34 +248,6 @@ def test_search_all_closure_under_negation_and_rotation():
 def test_search_all_row_sums():
     for row in search_all(4):
         assert abs(sum(row.entries)) == 2
-
-
-def test_class_masks_hold_each_mask_of_the_class_once():
-    for n in range(1, 21):
-        every = np.arange(1 << n, dtype=np.uint64)
-        counts = np.bitwise_count(every)
-        for c in range(n + 1):
-            got = np.concatenate(list(circulant._class_masks(n, c)))
-            assert got.dtype == np.uint64
-            assert np.array_equal(np.sort(got), every[counts == c]), (n, c)
-
-
-def test_class_masks_count_at_order_25():
-    got = np.sort(np.concatenate(list(circulant._class_masks(25, 10))))
-    assert got.size == math.comb(25, 10) == 3268760
-    assert np.all(np.diff(got) > 0) and got[-1] < 1 << 25
-    assert np.all(np.bitwise_count(got) == 10)
-
-
-def test_search_all_gathers_survivors_from_several_blocks(monkeypatch):
-    rows = search_all(4)
-    assert len(rows) == 8
-    # A one-bit low table splits order 4 into several high blocks, so the
-    # survivors of more than one block are joined before the negations.
-    monkeypatch.setattr(circulant, "LOW_BITS", 1)
-    assert len(list(circulant._class_masks(4, 1))) > 1
-    assert search_all(4) == rows
-    assert search_all(9) == []
 
 
 def test_search_all_guard():
