@@ -15,8 +15,8 @@ from .circulant import (MAX_SEARCH_ORDER, ROOT_CONVENTION, SignRow,
                         is_circulant_hadamard, periodic_autocorrelation,
                         search_all, spectrum)
 from .criterion import (DEFAULT_SIEVE_CAP, CandidateOrder, CriterionReport,
-                        Verdict, WitnessRecord, brock_check, check_order,
-                        iter_sieve, parse_candidate, theorem_witnesses)
+                        Verdict, WitnessRecord, check_order, iter_sieve,
+                        parse_candidate, theorem_witnesses)
 
 __version__ = "0.1.0"
 
@@ -24,8 +24,8 @@ __all__ = [
     "Factorization", "euler_phi", "factorize", "is_prime",
     "multiplicative_order",
     "CandidateOrder", "CriterionReport", "Verdict", "WitnessRecord",
-    "brock_check", "check_order", "iter_sieve", "parse_candidate",
-    "theorem_witnesses", "DEFAULT_SIEVE_CAP",
+    "check_order", "iter_sieve", "parse_candidate", "theorem_witnesses",
+    "DEFAULT_SIEVE_CAP",
     "SignRow", "SpectrumReport", "group_coefficients",
     "is_circulant_hadamard", "periodic_autocorrelation", "search_all",
     "spectrum", "MAX_SEARCH_ORDER", "ROOT_CONVENTION",

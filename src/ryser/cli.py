@@ -40,13 +40,21 @@ def available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
+def _decimal_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional '-', not '3_6' or ' 36'."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def _bounded_int(low: int, high: float, message: str) -> Callable[[str], int]:
     """A parser of decimal integers in [low, high]; message if outside."""
     def parse(text: str) -> int:
-        try:
-            value = int(text, 10)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        value = _decimal_int(text)
         if not low <= value <= high:
             raise argparse.ArgumentTypeError(message)
         return value
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser(
         "search", help="exhaustive circulant Hadamard or Barker search")
     p_search.add_argument("kind", choices=("circulant", "barker"))
-    p_search.add_argument("size", type=int)
+    p_search.add_argument("size", type=_decimal_int)
     p_search.add_argument("--threads", type=_positive_arg, default=None,
                           help="accepted and ignored: both searches run "
                                "in one process")

@@ -1,10 +1,17 @@
 """Order rejection criterion for circulant Hadamard matrices.
 
-A candidate order has the shape n = 4u^2 with u odd. For every prime p
-dividing n, with p^(2a) the exact power of p in n, the multiplicative order
-of p modulo m = n / p^(2a) must be odd for a circulant Hadamard matrix of
-order n to exist; one even order certifies rejection. The test is
-one-directional: survivors are undecided, never confirmed.
+The statement implemented is the criterion of arXiv:1411.2203, proved there
+through Brock's Theorem 3.1. A candidate order is n = 4u^2 with u odd; if a
+circulant Hadamard matrix of order n exists, then for every prime p | n,
+with p^(2a) || n and m = n / p^(2a), ord_m(p) is odd. One even order
+certifies rejection; survivors are undecided, never confirmed.
+
+The proof is taken from the paper, not checked here. A row's m-compression
+a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
+of unity, and tests/test_theorem_audit.py finds 45 length-9 and 4 length-4
+compressions for n = 36 that satisfy every constraint on those eigenvalues.
+So no argument from those eigenvalues alone rejects 36 by its m = 9 or
+m = 4 witness: the paper's proof must use more of the row, unverified here.
 """
 
 import itertools
@@ -54,9 +61,10 @@ class CandidateOrder(NamedTuple("CandidateOrder", [
 class WitnessRecord(NamedTuple):
     """Order parity of one prime p of n, with modulus m = n / p^(2a).
 
-    Even parity certifies rejection of n. j_index ties the witness to the
-    eigenvalue it constrains: 1 + (p^(2a) mod n), which wraps to 1 at the
-    n = 4 boundary where p^(2a) = n.
+    Even parity means the criterion rejects n (see the module docstring for
+    what that rests on). j_index = 1 + (p^(2a) mod n) names the eigenvalue
+    b_j at a primitive m-th root of unity where the paper's argument starts;
+    it wraps to 1 at the n = 4 boundary where p^(2a) = n.
     """
 
     p: int
@@ -137,24 +145,6 @@ def check_order(n: int) -> CriterionReport:
     except NotCandidateForm:
         return CriterionReport(n=n, witnesses=())
     return theorem_witnesses(candidate)
-
-
-def brock_check(n: int, n1: int) -> list[int]:
-    """Primes p dividing n, not dividing n1, with even order modulo n1.
-
-    Each flagged prime obstructs writing n as |a|^2 with a in the n1-th
-    cyclotomic field, by Brock's criterion taken at face value. An empty
-    list only means this particular test found nothing.
-    """
-    if n < 1 or n1 < 1:
-        raise ValueError("n and n1 must be positive")
-    flagged = []
-    for p in factorize(n).primes():
-        if n1 % p == 0:
-            continue
-        if multiplicative_order(p, n1) % 2 == 0:
-            flagged.append(p)
-    return flagged
 
 
 def _sieve_span(span: tuple[int, int]) -> list[CriterionReport]:

@@ -11,7 +11,7 @@ import time
 from ryser.barker import is_barker, search_barker
 from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
                              is_circulant_hadamard, search_all, spectrum)
-from ryser.criterion import Verdict, brock_check, check_order, iter_sieve
+from ryser.criterion import Verdict, check_order, iter_sieve
 
 from oracles import mask_to_entries, naive_factor, naive_order
 
@@ -152,16 +152,3 @@ def test_barker_length_census():
     _passed("Barker search over L in [1, 20] is nonempty exactly at "
             f"1,2,3,4,5,7,11,13 and the classical length-13 sequence "
             f"verifies ({elapsed:.2f} s)")
-
-
-def test_obstruction_detector_agrees_with_witness_parity():
-    disagreements = 0
-    for u in range(1, 146, 2):
-        report = check_order(4 * u * u)
-        for w in report.witnesses:
-            flagged = w.p in brock_check(report.n, w.m)
-            if flagged != (w.parity == "even"):
-                disagreements += 1
-    assert disagreements == 0
-    _passed("obstruction detector flags exactly the even-parity witnesses "
-            "across the whole sieve range, zero disagreements")

@@ -54,10 +54,12 @@ def test_check_not_applicable_exit_code(capsys):
 
 
 def test_check_malformed_inputs(capsys):
-    for bad in ["abc", "-5", "0", str(2 ** 63)]:
+    # int() would read the underscore, space and full-width forms as 36.
+    for bad in ["abc", "-5", "0", str(2 ** 63), "3_6", " 36", "36\n",
+                "\uff13\uff16", "+36", "-", "", "9" * 5000]:
         code, out, err = run_cli(capsys, "check", bad)
-        assert code == 2
-        assert err
+        assert code == 2, bad
+        assert err and not out
 
 
 def test_check_emitted_witnesses_reverify(capsys):
@@ -146,9 +148,12 @@ def test_sieve_single_record(capsys):
 
 
 def test_sieve_even_bound_rejected(capsys):
-    code, out, err = run_cli(capsys, "sieve", "2", "10")
-    assert code == 2
-    assert err
+    for argv in (("2", "10"), ("1", "3_1"), ("\uff11", "31"),
+                 ("1", "31", "--threads", "1_0"),
+                 ("1", "31", "--threads", " 2")):
+        code, out, err = run_cli(capsys, "sieve", *argv)
+        assert code == 2, argv
+        assert err and not out
 
 
 def test_sieve_csv(capsys):
@@ -170,7 +175,7 @@ def test_sieve_cap_via_environment(capsys, monkeypatch):
     assert code == 4
     assert err
 
-    for bad in ["xyz", "0", "-5"]:
+    for bad in ["xyz", "0", "-5", "1_0", " 10", "\uff11\uff10"]:
         monkeypatch.setenv("RYSER_SIEVE_CAP", bad)
         code, out, err = run_cli(capsys, "sieve", "1", "9")
         assert code == 2
@@ -263,10 +268,13 @@ def test_search_output_matches_the_benchmark_references(capsys):
 def test_search_guards(capsys):
     for argv in (("search", "circulant", "30"),
                  ("search", "barker", "25"),
-                 ("search", "circulant", "0")):
+                 ("search", "circulant", "0"),
+                 ("search", "circulant", "1_6"),
+                 ("search", "circulant", " 16"),
+                 ("search", "barker", "\uff11\uff13")):
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert err
+        assert code == 2, argv
+        assert err and not out
 
 
 def test_search_kind_is_validated(capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from ryser.arith import factorize
 from ryser.criterion import (MAX_SIEVE_BOUND, CandidateOrder, CriterionReport,
-                             Verdict, brock_check, check_order, iter_sieve,
-                             parse_candidate, theorem_witnesses)
+                             Verdict, check_order, iter_sieve, parse_candidate,
+                             theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import check_record, naive_factor, naive_order
@@ -117,27 +117,6 @@ def test_witness_structure_and_orders_match_naive_oracle():
             assert math.gcd(w.p, w.m) == 1
             assert w.order == naive_order(w.p, w.m)
             assert w.j_index == 1 + (w.p ** (2 * w.a)) % report.n
-
-
-def test_brock_check_examples():
-    assert brock_check(4, 1) == []
-    assert brock_check(36, 9) == [2]
-    assert brock_check(196, 4) == [7]
-
-
-def test_brock_check_validates():
-    with pytest.raises(ValueError):
-        brock_check(0, 1)
-    with pytest.raises(ValueError):
-        brock_check(4, 0)
-
-
-def test_brock_check_agrees_with_witness_parity():
-    for u in range(1, 200, 2):
-        report = check_order(4 * u * u)
-        for w in report.witnesses:
-            flagged = w.p in brock_check(report.n, w.m)
-            assert flagged == (w.parity == "even")
 
 
 def test_mod_four_shortcut_forces_rejection():
