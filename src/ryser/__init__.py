@@ -1,9 +1,9 @@
 """Screening library for circulant Hadamard matrix orders.
 
-Decides whether an order n = 4u^2 (u odd) can be rejected through the
-parity of multiplicative orders, cross-validates the verdicts with exact
-circulant-spectrum oracles, and searches exhaustively for circulant
-Hadamard rows and Barker sequences at desk scale.
+Decides whether the criterion of arXiv:1411.2203 (order parity, a theorem
+taken from the paper) rejects an order n = 4u^2 (u odd), with witnesses
+anyone can recheck; verifies single rows; and searches exhaustively for
+circulant Hadamard rows and Barker sequences at desk scale.
 """
 
 from .arith import (Factorization, euler_phi, factorize, is_prime,

@@ -5,8 +5,7 @@ module uses plain integer arithmetic throughout; no floating point anywhere.
 """
 
 import math
-import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import NotCoprime
 
@@ -19,8 +18,7 @@ _TRIAL_LIMIT = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class Factorization(NamedTuple("Factorization", [
-        ("factors", tuple[tuple[int, int], ...])])):
+class Factorization(namedtuple("Factorization", "factors")):
     """Prime factorization as (prime, exponent) pairs, ascending by prime.
 
     The empty tuple represents 1.
@@ -127,6 +125,8 @@ def _brent(n: int) -> int:
     The polynomial parameters are drawn from a generator seeded with n, so
     repeated runs always walk the same sequence.
     """
+    import random
+
     rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)

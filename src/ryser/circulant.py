@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 
 from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
@@ -26,7 +27,7 @@ MAX_SEARCH_ORDER = 28
 ROOT_CONVENTION = "w_n = exp(2i*pi/n), b_s = R(w_n^(s-1))"
 
 
-class SignRow(NamedTuple("SignRow", [("entries", tuple[int, ...])])):
+class SignRow(namedtuple("SignRow", "entries")):
     """First row (h_1 .. h_n) of a circulant matrix with entries +1 or -1."""
 
     __slots__ = ()
@@ -56,13 +57,12 @@ class SignRow(NamedTuple("SignRow", [("entries", tuple[int, ...])])):
         return "".join("+" if h == 1 else "-" for h in self.entries)
 
 
-class SpectrumReport(NamedTuple):
+class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues magnitudes "
+                                "max_deviation root_convention",
+                                defaults=(ROOT_CONVENTION,))):
     """Eigenvalues of a circulant row and their deviation from sqrt(n)."""
 
-    eigenvalues: tuple[complex, ...]
-    magnitudes: tuple[float, ...]
-    max_deviation: float
-    root_convention: str = ROOT_CONVENTION
+    __slots__ = ()
 
 
 def periodic_autocorrelation(row: SignRow, k: int) -> int:

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from typing import Callable
+from collections.abc import Callable
 
 from .arith import MAX_INPUT
 from .barker import search_barker

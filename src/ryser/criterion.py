@@ -16,10 +16,10 @@ m = 4 witness: the paper's proof must use more of the row, unverified here.
 
 import itertools
 import math
-import multiprocessing
-import signal
+import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
 
 from .arith import MAX_INPUT, Factorization, factorize, multiplicative_order
 from .errors import NotCandidateForm, RangeTooLarge
@@ -40,8 +40,7 @@ class Verdict(str, Enum):
     NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-class CandidateOrder(NamedTuple("CandidateOrder", [
-        ("n", int), ("u", int), ("u_factors", Factorization)])):
+class CandidateOrder(namedtuple("CandidateOrder", "n u u_factors")):
     """An order n = 4u^2 with u odd, carrying the factorization of u."""
 
     __slots__ = ()
@@ -58,7 +57,7 @@ class CandidateOrder(NamedTuple("CandidateOrder", [
         return super().__new__(cls, n, u, u_factors)
 
 
-class WitnessRecord(NamedTuple):
+class WitnessRecord(namedtuple("WitnessRecord", "p a m order j_index")):
     """Order parity of one prime p of n, with modulus m = n / p^(2a).
 
     Even parity means the criterion rejects n (see the module docstring for
@@ -67,18 +66,14 @@ class WitnessRecord(NamedTuple):
     it wraps to 1 at the n = 4 boundary where p^(2a) = n.
     """
 
-    p: int
-    a: int
-    m: int
-    order: int
-    j_index: int
+    __slots__ = ()
 
     @property
     def parity(self) -> str:
         return "even" if self.order % 2 == 0 else "odd"
 
 
-class CriterionReport(NamedTuple):
+class CriterionReport(namedtuple("CriterionReport", "n witnesses")):
     """Outcome of the rejection criterion for one order n.
 
     Everything but n is derived from the witnesses, one per prime of n in
@@ -86,8 +81,7 @@ class CriterionReport(NamedTuple):
     order rejects n.
     """
 
-    n: int
-    witnesses: tuple[WitnessRecord, ...]
+    __slots__ = ()
 
     @property
     def applicable(self) -> bool:
@@ -185,18 +179,33 @@ def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
 def _ignore_sigint() -> None:
     # Ctrl-C reaches the whole process group; only the parent reacts, and
     # leaving the pool tears the workers down.
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def __getattr__(name: str):
+    # multiprocessing is imported on first access, so only a sieve that
+    # starts a pool loads it. Reading and swapping the module through this
+    # name, as bench/tracing.py does, still reaches run_spans.
+    if name != "multiprocessing":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import multiprocessing
+
+    return multiprocessing
 
 
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
     A process pool is used only when it can help, so only for the sieve:
-    the searches pass one task. Tasks go one per message, so callers size
-    them; closing the iterator early tears the pool down.
+    the searches pass one task. The pool module is imported only then.
+    Tasks go one per message, so callers size them; closing the iterator
+    early tears the pool down.
     """
     if workers <= 1 or len(tasks) <= 1:
         yield from map(worker, tasks)
         return
+    multiprocessing = sys.modules[__name__].multiprocessing
     with multiprocessing.Pool(min(workers, len(tasks)), _ignore_sigint) as pool:
         yield from pool.imap(worker, tasks)

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 import types
 from pathlib import Path
@@ -315,6 +316,32 @@ def test_numpy_loads_only_where_it_computes():
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_load_no_pool_random_or_typing():
+    # Compared with the modules loaded at start, since a site hook may
+    # import some of them itself. numpy imports typing, so the searches that
+    # print rows are compared with the modules loaded once numpy is.
+    probe = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        unwanted = {'multiprocessing', 'signal', 'random', 'typing'}
+        import ryser.cli
+        assert not unwanted & (set(sys.modules) - before), 'import'
+        def run(*commands):
+            for argv in commands:
+                ryser.cli.main(argv)
+                assert not unwanted & (set(sys.modules) - before), argv
+        run(['search', 'circulant', '16'], ['search', 'circulant', '25'],
+            ['search', 'circulant', '28'], ['search', 'barker', '24'],
+            ['check', '36'], ['sieve', '1', '9', '--threads', '1'])
+        import numpy
+        before = set(sys.modules)
+        run(['search', 'circulant', '4'], ['search', 'barker', '13'])
+        """)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script():

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -163,6 +166,25 @@ def test_sieve_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
     assert (list(iter_sieve(1, 99, workers=3))
             == list(iter_sieve(1, 99, workers=1)))
+
+
+def test_pool_module_loads_only_for_a_pooled_sieve():
+    # u up to 4097 makes three spans, so two workers start a real pool
+    # whatever the CPU count.
+    probe = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import ryser.criterion as criterion
+        serial = list(criterion.iter_sieve(1, 4097, workers=1))
+        assert 'multiprocessing' not in set(sys.modules) - before
+        assert list(criterion.iter_sieve(1, 4097, workers=2)) == serial
+        assert 'multiprocessing' in sys.modules
+        assert criterion.multiprocessing is sys.modules['multiprocessing']
+        assert not hasattr(criterion, 'no_such_name')
+        """)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sieve_validates_bounds():
