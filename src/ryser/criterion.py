@@ -29,8 +29,9 @@ DEFAULT_SIEVE_CAP = 10 ** 7
 # Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
 MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
-# Candidates handed to one sieve worker at a time; large enough that task
-# dispatch never dominates, small enough to stream promptly.
+# Largest number of candidates in one sieve task; large enough that task
+# dispatch never dominates. Spans ramp up to it from one candidate, so the
+# first records stream out before a full span is done.
 _SIEVE_SPAN = 1024
 
 
@@ -159,9 +160,13 @@ def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
     count = (u_max - u_min) // 2 + 1
     if count > cap:
         raise RangeTooLarge(f"{count} candidates exceed the sieve cap of {cap}")
-    step = 2 * _SIEVE_SPAN
-    return [(lo, min(lo + step, u_max + 1))
-            for lo in range(u_min, u_max + 1, step)]
+    spans = []
+    lo, size = u_min, 1
+    while lo <= u_max:
+        hi = min(lo + 2 * size, u_max + 1)
+        spans.append((lo, hi))
+        lo, size = hi, min(2 * size, _SIEVE_SPAN)
+    return spans
 
 
 def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
@@ -169,19 +174,27 @@ def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
     """Stream one report per odd u in [u_min, u_max] for n = 4u^2, ascending.
 
     Bounds and cap are validated eagerly; the returned iterator only
-    computes. With several workers the range is partitioned and merged back
-    in order, so the stream never depends on scheduling.
+    computes. The range is cut into spans of 1, 2, 4, ... candidates, up to
+    _SIEVE_SPAN, so the first report needs only the first candidate. With
+    several workers and more than _SIEVE_SPAN candidates the spans go to a
+    pool and are merged back in order, so the stream never depends on
+    scheduling. A shorter range runs in this process, though the ramp
+    cuts it into several spans too.
     """
     spans = _validated_spans(u_min, u_max, cap)
+    if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
+        workers = 1
     return itertools.chain.from_iterable(run_spans(_sieve_span, spans, workers))
 
 
 def _ignore_sigint() -> None:
     # Ctrl-C reaches the whole process group; only the parent reacts, and
-    # leaving the pool tears the workers down.
+    # leaving the pool tears the workers down. A worker starts with SIGINT
+    # blocked (see run_spans) and unblocks it only once it is ignored.
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
 def __getattr__(name: str):
@@ -198,14 +211,25 @@ def __getattr__(name: str):
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
-    A process pool is used only when it can help, so only for the sieve:
-    the searches pass one task. The pool module is imported only then.
-    Tasks go one per message, so callers size them; closing the iterator
-    early tears the pool down.
+    A process pool is used for two or more workers and tasks, which only
+    iter_sieve asks for: the searches pass one task. The pool and signal
+    modules are imported only then. Tasks go one per message, so callers
+    size them; closing the iterator early tears the pool down.
     """
     if workers <= 1 or len(tasks) <= 1:
         yield from map(worker, tasks)
         return
+    import signal
+
     multiprocessing = sys.modules[__name__].multiprocessing
-    with multiprocessing.Pool(min(workers, len(tasks)), _ignore_sigint) as pool:
-        yield from pool.imap(worker, tasks)
+    # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
+    # _ignore_sigint runs. One that comes meanwhile stays pending in the
+    # parent until the pool is in its with block, which tears it down.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        with multiprocessing.Pool(min(workers, len(tasks)),
+                                  _ignore_sigint) as pool:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            yield from pool.imap(worker, tasks)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)

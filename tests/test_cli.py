@@ -236,6 +236,23 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
     assert out == serial
 
 
+def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
+    # The ramp cuts even a short range into several spans, but a pool pays
+    # only beyond _SIEVE_SPAN (1024) candidates.
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    monkeypatch.setattr("ryser.criterion.multiprocessing",
+                        types.SimpleNamespace(Pool=ProbePool))
+    for u_max, sizes in (("2047", []), ("2049", [3])):
+        monkeypatch.setattr(ProbePool, "sizes", [])
+        code, serial, err = run_cli(capsys, "sieve", "1", u_max,
+                                    "--threads", "1")
+        assert code == 0 and ProbePool.sizes == []
+        code, out, err = run_cli(capsys, "sieve", "1", u_max,
+                                 "--threads", "3")
+        assert code == 0 and ProbePool.sizes == sizes
+        assert out == serial
+
+
 def test_search_circulant_four(capsys):
     code, out, err = run_cli(capsys, "search", "circulant", "4")
     assert code == 0
@@ -396,3 +413,34 @@ def test_interrupt_exits_quietly():
     assert proc.returncode == 130
     assert "Traceback" not in err.decode()
     assert "ForkPoolWorker" not in err.decode()
+
+
+def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
+    # An initializer that runs late widens the gap between a worker's fork
+    # and _ignore_sigint; a Ctrl-C sent inside that gap must reach no worker.
+    script = tmp_path / "late_pool.py"
+    script.write_text(textwrap.dedent("""
+        import os, signal, sys, time, types
+        import ryser.criterion as criterion
+
+        def late(initializer):
+            time.sleep(0.3)
+            initializer()
+
+        if __name__ == "__main__":
+            real = criterion.multiprocessing
+
+            def pool(processes, initializer):
+                started = real.Pool(processes, late, (initializer,))
+                os.killpg(0, signal.SIGINT)
+                return started
+
+            criterion.multiprocessing = types.SimpleNamespace(Pool=pool)
+            try:
+                list(criterion.iter_sieve(1, 4097, workers=2))
+            except KeyboardInterrupt:
+                sys.exit(130)
+        """))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=60, start_new_session=True)
+    assert (proc.returncode, proc.stderr) == (130, "")

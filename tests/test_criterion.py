@@ -6,8 +6,9 @@ import textwrap
 import pytest
 
 from ryser.arith import factorize
-from ryser.criterion import (MAX_SIEVE_BOUND, CandidateOrder, CriterionReport,
-                             Verdict, check_order, iter_sieve, parse_candidate,
+from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CandidateOrder,
+                             CriterionReport, Verdict, _validated_spans,
+                             check_order, iter_sieve, parse_candidate,
                              theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
@@ -168,9 +169,37 @@ def test_sieve_parallel_matches_serial(monkeypatch):
             == list(iter_sieve(1, 99, workers=1)))
 
 
+@pytest.mark.parametrize("u_min, u_max", [
+    (1, 1), (1, 3), (1, 2045), (1, 2047), (1, 2049), (1, 20001),
+    (MAX_SIEVE_BOUND - 2 * 2999, MAX_SIEVE_BOUND),
+], ids=["1", "2", "1023", "1024", "1025", "10001", "ceiling"])
+def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
+    spans = _validated_spans(u_min, u_max, 10 ** 7)
+    assert spans[0][0] == u_min and spans[-1][1] == u_max + 1
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert ([u for lo, hi in spans for u in range(lo, hi, 2)]
+            == list(range(u_min, u_max + 1, 2)))
+    sizes = [len(range(lo, hi, 2)) for lo, hi in spans]
+    ramp = [min(2 ** i, _SIEVE_SPAN) for i in range(len(sizes))]
+    assert sizes[:-1] == ramp[:-1]
+    assert 1 <= sizes[-1] <= ramp[-1]
+
+
+def test_first_report_needs_only_the_first_span(monkeypatch):
+    calls = []
+
+    def counted(candidate):
+        calls.append(candidate.u)
+        return theorem_witnesses(candidate)
+
+    monkeypatch.setattr("ryser.criterion.theorem_witnesses", counted)
+    assert next(iter_sieve(1, 20001, workers=1)).n == 4
+    assert calls == [1]
+
+
 def test_pool_module_loads_only_for_a_pooled_sieve():
-    # u up to 4097 makes three spans, so two workers start a real pool
-    # whatever the CPU count.
+    # u up to 4097 is 2049 candidates, more than one full span, so two
+    # workers start a real pool whatever the CPU count.
     probe = textwrap.dedent("""
         import sys
         before = set(sys.modules)
