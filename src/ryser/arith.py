@@ -5,7 +5,6 @@ module uses plain integer arithmetic throughout; no floating point anywhere.
 """
 
 import math
-from collections import namedtuple
 
 from .errors import NotCoprime
 
@@ -16,39 +15,6 @@ _TRIAL_LIMIT = 10 ** 6
 # Witness set sufficient for deterministic Miller-Rabin on all n < 3.3e24,
 # which covers the full 63-bit input domain with room to spare.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class Factorization(namedtuple("Factorization", "factors")):
-    """Prime factorization as (prime, exponent) pairs, ascending by prime.
-
-    The empty tuple represents 1.
-    """
-
-    __slots__ = ()
-    # _replace builds through _make, which would otherwise skip __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, factors: tuple[tuple[int, int], ...]):
-        previous = 1
-        for p, e in factors:
-            if p <= previous:
-                raise ValueError("primes must be strictly increasing")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if e < 1:
-                raise ValueError("exponents must be at least 1")
-            previous = p
-        return super().__new__(cls, factors)
-
-    def value(self) -> int:
-        """Recompose the factored integer."""
-        out = 1
-        for p, e in self.factors:
-            out *= p ** e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
 
 def is_prime(n: int) -> bool:
@@ -76,12 +42,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n completely; trial division first, Pollard splitting after.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n completely as (prime, exponent) pairs, ascending by prime.
 
-    Trial division runs over 2, 3 and the 6k +- 1 pattern up to 10^6; any
-    residual cofactor is split recursively with a seeded Brent-Pollard rho,
-    so the output is deterministic.
+    The empty tuple is the factorization of 1. Trial division runs over 2, 3
+    and the 6k +- 1 pattern up to 10^6; any residual cofactor is split
+    recursively with a seeded Brent-Pollard rho, so the output is
+    deterministic. Every prime is proved: a trial divisor because all
+    smaller primes are divided out first, a large one by is_prime.
     """
     if not 1 <= n < MAX_INPUT:
         raise ValueError(f"n must be in [1, 2^63), got {n}")
@@ -100,7 +68,7 @@ def factorize(n: int) -> Factorization:
         f += 6
     if rest > 1:
         _split(rest, counts)
-    return Factorization(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def _split(m: int, counts: dict[int, int]) -> None:
@@ -156,10 +124,10 @@ def _brent(n: int) -> int:
             return g
 
 
-def euler_phi(f: Factorization) -> int:
-    """Euler phi of the factored integer, via the product p^(e-1)(p-1)."""
+def euler_phi(n: int) -> int:
+    """Euler phi of n, via the product p^(e-1)(p-1) over its factorization."""
     out = 1
-    for p, e in f.factors:
+    for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -176,8 +144,8 @@ def multiplicative_order(p: int, m: int) -> int:
         return 1
     if math.gcd(p % m, m) != 1:
         raise NotCoprime(f"gcd({p}, {m}) > 1, the order is undefined")
-    e = euler_phi(factorize(m))
-    for q in factorize(e).primes():
+    e = euler_phi(m)
+    for q, _ in factorize(e):
         while e % q == 0 and pow(p, e // q, m) == 1:
             e //= q
     return e

@@ -178,6 +178,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
                 ";".join(str(p) for p in report.rejection_primes),
                 ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses),
             ])
+            sys.stdout.flush()
         else:
             record = {
                 "u": u,
@@ -186,7 +187,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
                 "rejection_primes": list(report.rejection_primes),
                 "witnesses": [_witness_dict(w) for w in report.witnesses],
             }
-            print(json.dumps(record))
+            print(json.dumps(record), flush=True)
     total = sum(counts.values())
     summary = {"total": total, "counts": counts, "survivors": survivors}
     if writer is None:

@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
 
-from .arith import MAX_INPUT, Factorization, factorize, multiplicative_order
+from .arith import MAX_INPUT, factorize, multiplicative_order
 from .errors import NotCandidateForm, RangeTooLarge
 
 DEFAULT_SIEVE_CAP = 10 ** 7
@@ -39,23 +39,6 @@ class Verdict(str, Enum):
     REJECTED = "REJECTED"
     NOT_DECIDED = "NOT_DECIDED"
     NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
-class CandidateOrder(namedtuple("CandidateOrder", "n u u_factors")):
-    """An order n = 4u^2 with u odd, carrying the factorization of u."""
-
-    __slots__ = ()
-    # _replace builds through _make, which would otherwise skip __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, n: int, u: int, u_factors: Factorization):
-        if u < 1 or u % 2 == 0:
-            raise ValueError("u must be an odd positive integer")
-        if n != 4 * u * u:
-            raise ValueError("n must equal 4*u^2")
-        if u_factors.value() != u:
-            raise ValueError("u_factors must recompose to u")
-        return super().__new__(cls, n, u, u_factors)
 
 
 class WitnessRecord(namedtuple("WitnessRecord", "p a m order j_index")):
@@ -101,8 +84,8 @@ class CriterionReport(namedtuple("CriterionReport", "n witnesses")):
         return Verdict.NOT_DECIDED
 
 
-def parse_candidate(n: int) -> CandidateOrder:
-    """Decompose n as 4u^2 with u odd, or explain why it is not."""
+def parse_candidate(n: int) -> int:
+    """The odd u with n = 4u^2; NotCandidateForm says why there is none."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n % 4 != 0:
@@ -113,39 +96,42 @@ def parse_candidate(n: int) -> CandidateOrder:
         raise NotCandidateForm(n, "quotient not a perfect square")
     if root % 2 == 0:
         raise NotCandidateForm(n, "square root even")
-    return CandidateOrder(n=n, u=root, u_factors=factorize(root))
+    return root
 
 
-def theorem_witnesses(candidate: CandidateOrder) -> CriterionReport:
-    """Order-parity witnesses for every distinct prime of n, ascending.
+def theorem_witnesses(u: int) -> CriterionReport:
+    """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
-    For p = 2 the modulus is u^2; for an odd prime p with p^a exactly
-    dividing u it is n / p^(2a). Coprimality of p and its modulus is
-    structural, so every order is defined.
+    u must be odd and positive; the primes of n are 2 and those of u, which
+    is factored here. For p = 2 the modulus is u^2; for an odd prime p with
+    p^a exactly dividing u it is n / p^(2a). Coprimality of p and its
+    modulus is structural, so every order is defined.
     """
+    if u < 1 or u % 2 == 0:
+        raise ValueError("u must be an odd positive integer")
+    n = 4 * u * u
     witnesses = []
-    for p, a in [(2, 1)] + list(candidate.u_factors.factors):
+    for p, a in ((2, 1),) + factorize(u):
         power = p ** (2 * a)
-        m = candidate.n // power
+        m = n // power
         witnesses.append(WitnessRecord(p=p, a=a, m=m,
                                        order=multiplicative_order(p, m),
-                                       j_index=1 + power % candidate.n))
-    return CriterionReport(n=candidate.n, witnesses=tuple(witnesses))
+                                       j_index=1 + power % n))
+    return CriterionReport(n=n, witnesses=tuple(witnesses))
 
 
 def check_order(n: int) -> CriterionReport:
     """Parse and judge n; orders not of candidate form are NOT_APPLICABLE."""
     try:
-        candidate = parse_candidate(n)
+        u = parse_candidate(n)
     except NotCandidateForm:
         return CriterionReport(n=n, witnesses=())
-    return theorem_witnesses(candidate)
+    return theorem_witnesses(u)
 
 
 def _sieve_span(span: tuple[int, int]) -> list[CriterionReport]:
     lo, hi = span
-    return [theorem_witnesses(CandidateOrder(4 * u * u, u, factorize(u)))
-            for u in range(lo, hi, 2)]
+    return [theorem_witnesses(u) for u in range(lo, hi, 2)]
 
 
 def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: repeated multiplication, full trial
 division, exhaustive enumeration. The library must agree with these on every
 value the tests freeze. check_record states the contract every ryser record
-keeps.
+(WitnessRecord, CriterionReport, SignRow, SpectrumReport) keeps.
 """
 
 import itertools

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -168,6 +169,29 @@ def test_sieve_csv(capsys):
     assert fields[:4] == ["3", "36", "REJECTED", "2;3"]
     assert fields[4] == "2:9:6;3:4:2"
     assert "survivors" in err
+
+
+class FlushCounter(io.StringIO):
+    """A stdout that notes how many lines it holds at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed_at = []
+
+    def flush(self):
+        self.flushed_at.append(self.getvalue().count("\n"))
+        super().flush()
+
+
+@pytest.mark.parametrize("fmt, first", [("json-lines", 1), ("csv", 2)])
+def test_sieve_flushes_every_record(monkeypatch, fmt, first):
+    # A piped stdout is block-buffered, so a record reaches its reader as
+    # soon as it is computed only if the sieve flushes it.
+    stdout = FlushCounter()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["sieve", "1", "9", "--threads", "1", "--format", fmt]) == 0
+    records = range(first, first + 5)  # u = 1, 3, 5, 7, 9
+    assert set(records) <= set(stdout.flushed_at), stdout.flushed_at
 
 
 def test_sieve_cap_via_environment(capsys, monkeypatch):
@@ -379,8 +403,8 @@ LONG_SIEVE = [sys.executable, "-m", "ryser", "sieve", "1", "200001",
     ([sys.executable, "-m", "ryser", "search", "barker", "20"], 0),
 ], ids=["sieve, one line read", "search, nothing read"])
 def test_closed_stdout_exits_quietly(tmp_path, argv, lines):
-    # Block-buffered stdout, as a user's shell gives it, leaves output for
-    # the flush at interpreter exit.
+    # Block-buffered stdout, as a user's shell gives it: the sieve meets the
+    # closed pipe at its next record's flush, the search at the final flush.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     started = time.monotonic()
     with open(tmp_path / "stderr", "w+") as err:

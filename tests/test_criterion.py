@@ -5,23 +5,18 @@ import textwrap
 
 import pytest
 
-from ryser.arith import factorize
-from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CandidateOrder,
-                             CriterionReport, Verdict, _validated_spans,
-                             check_order, iter_sieve, parse_candidate,
-                             theorem_witnesses)
+from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CriterionReport,
+                             Verdict, _validated_spans, check_order,
+                             iter_sieve, parse_candidate, theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import check_record, naive_factor, naive_order
 
 
 def test_parse_candidate_examples():
-    c = parse_candidate(4)
-    assert (c.n, c.u) == (4, 1)
-    assert c.u_factors.factors == ()
-    c = parse_candidate(36)
-    assert (c.n, c.u) == (36, 3)
-    assert c.u_factors.factors == ((3, 1),)
+    assert parse_candidate(4) == 1
+    assert type(parse_candidate(36)) is int and parse_candidate(36) == 3
+    assert parse_candidate(108900) == 165
 
 
 def test_parse_candidate_reason_tags():
@@ -45,29 +40,24 @@ def test_parse_candidate_accepts_exactly_odd_square_quotients():
         well_formed = (remainder == 0 and root * root == quotient
                        and root % 2 == 1)
         if well_formed:
-            assert parse_candidate(n).u == root
+            assert parse_candidate(n) == root
         else:
             with pytest.raises(NotCandidateForm):
                 parse_candidate(n)
 
 
-def test_candidate_order_validates():
-    with pytest.raises(ValueError, match="^u_factors must recompose to u$"):
-        CandidateOrder(36, 3, factorize(5))
-    with pytest.raises(ValueError, match="^u must be an odd positive integer$"):
-        CandidateOrder(16, 2, factorize(2))
-    with pytest.raises(ValueError, match=r"^n must equal 4\*u\^2$"):
-        CandidateOrder(30, 3, factorize(3))
-    with pytest.raises(ValueError, match=r"^n must equal 4\*u\^2$"):
-        parse_candidate(36)._replace(n=30)
-    # The three records of a verdict keep the same contract.
-    check_record(lambda: parse_candidate(36))
+def test_theorem_witnesses_takes_odd_positive_u():
+    for u in (0, 2, -3):
+        with pytest.raises(ValueError,
+                           match="^u must be an odd positive integer$"):
+            theorem_witnesses(u)
+    # The two records of a verdict keep the same contract.
     check_record(lambda: check_order(196))
     check_record(lambda: check_order(196).witnesses[0])
 
 
 def test_theorem_witnesses_boundary_four():
-    report = theorem_witnesses(parse_candidate(4))
+    report = theorem_witnesses(1)
     assert report.verdict is Verdict.NOT_DECIDED
     assert report.applicable
     [w] = report.witnesses
@@ -76,7 +66,7 @@ def test_theorem_witnesses_boundary_four():
 
 
 def test_theorem_witnesses_rejects_36():
-    report = theorem_witnesses(parse_candidate(36))
+    report = theorem_witnesses(3)
     assert report.verdict is Verdict.REJECTED
     w2, w3 = report.witnesses
     assert (w2.p, w2.a, w2.m, w2.order, w2.parity, w2.j_index) == (2, 1, 9, 6, "even", 5)
@@ -85,7 +75,7 @@ def test_theorem_witnesses_rejects_36():
 
 
 def test_theorem_witnesses_rejects_196_with_one_odd_witness():
-    report = theorem_witnesses(parse_candidate(196))
+    report = theorem_witnesses(7)
     assert report.verdict is Verdict.REJECTED
     w2, w7 = report.witnesses
     assert (w2.p, w2.m, w2.order, w2.parity, w2.j_index) == (2, 49, 21, "odd", 5)
@@ -97,7 +87,7 @@ def test_theorem_witnesses_rejects_196_with_one_odd_witness():
 
 
 def test_theorem_witnesses_passes_21316():
-    report = theorem_witnesses(parse_candidate(21316))
+    report = theorem_witnesses(73)
     assert report.verdict is Verdict.NOT_DECIDED
     w2, w73 = report.witnesses
     assert (w2.p, w2.m, w2.order, w2.parity) == (2, 5329, 657, "odd")
@@ -188,9 +178,9 @@ def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
 def test_first_report_needs_only_the_first_span(monkeypatch):
     calls = []
 
-    def counted(candidate):
-        calls.append(candidate.u)
-        return theorem_witnesses(candidate)
+    def counted(u):
+        calls.append(u)
+        return theorem_witnesses(u)
 
     monkeypatch.setattr("ryser.criterion.theorem_witnesses", counted)
     assert next(iter_sieve(1, 20001, workers=1)).n == 4
