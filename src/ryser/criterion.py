@@ -31,7 +31,8 @@ MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
 # Largest number of candidates in one sieve task; large enough that task
 # dispatch never dominates. Spans ramp up to it from one candidate, so the
-# first records stream out before a full span is done.
+# first records stream out before a full span is done. The first span always
+# runs in the calling process, before any pool starts; a pool takes the rest.
 _SIEVE_SPAN = 1024
 
 
@@ -161,11 +162,13 @@ def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
 
     Bounds and cap are validated eagerly; the returned iterator only
     computes. The range is cut into spans of 1, 2, 4, ... candidates, up to
-    _SIEVE_SPAN, so the first report needs only the first candidate. With
-    several workers and more than _SIEVE_SPAN candidates the spans go to a
-    pool and are merged back in order, so the stream never depends on
-    scheduling. A shorter range runs in this process, though the ramp
-    cuts it into several spans too.
+    _SIEVE_SPAN, so the first report needs only the first candidate. The
+    first span always runs in this process. With several workers and more
+    than _SIEVE_SPAN candidates a pool, started only after the first report,
+    takes the other spans, and they are merged back in order, so the stream
+    never depends on scheduling. A range of at most _SIEVE_SPAN candidates
+    runs in this process whatever each candidate costs, though the ramp cuts
+    it into several spans too.
     """
     spans = _validated_spans(u_min, u_max, cap)
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
@@ -197,25 +200,29 @@ def __getattr__(name: str):
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
-    A process pool is used for two or more workers and tasks, which only
-    iter_sieve asks for: the searches pass one task. The pool and signal
-    modules are imported only then. Tasks go one per message, so callers
-    size them; closing the iterator early tears the pool down.
+    With two or more workers and more than two tasks, which only iter_sieve
+    asks for (the searches pass one task), the first task still runs in this
+    process, so its result never waits for the pool. Only then are the pool
+    and signal modules imported and a pool started for the other tasks; a
+    single task left over would gain nothing from one. Tasks go one per
+    message, so callers size them; closing the iterator early tears the
+    pool down.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    if workers <= 1 or len(tasks) <= 2:
         yield from map(worker, tasks)
         return
+    yield worker(tasks[0])
     import signal
 
-    multiprocessing = sys.modules[__name__].multiprocessing
+    Pool = sys.modules[__name__].multiprocessing.Pool
     # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
     # _ignore_sigint runs. One that comes meanwhile stays pending in the
     # parent until the pool is in its with block, which tears it down.
+    # Before the block, a Ctrl-C meets no pool and interrupts at once.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        with multiprocessing.Pool(min(workers, len(tasks)),
-                                  _ignore_sigint) as pool:
+        with Pool(min(workers, len(tasks) - 1), _ignore_sigint) as pool:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            yield from pool.imap(worker, tasks)
+            yield from pool.imap(worker, tasks[1:])
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)

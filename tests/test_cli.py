@@ -277,6 +277,30 @@ def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
         assert out == serial
 
 
+@pytest.mark.parametrize("span, u_max, size", [(1024, 4097, 3), (2, 9, 2)])
+def test_sieve_pool_starts_after_the_first_record(monkeypatch, span, u_max,
+                                                  size):
+    # The first span runs in this process, and the pool is sized for the
+    # spans left: 11 of 12 up to 4097, but only 2 of 3 (1, 2 and 2
+    # candidates) up to 9 with spans of at most 2.
+    monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", span)
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    stdout = io.StringIO()
+    lines_at_pool = []
+
+    def pool(processes, initializer=None):
+        lines_at_pool.append(stdout.getvalue().count("\n"))
+        return ProbePool(processes, initializer)
+
+    monkeypatch.setattr("ryser.criterion.multiprocessing",
+                        types.SimpleNamespace(Pool=pool))
+    monkeypatch.setattr(ProbePool, "sizes", [])
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["sieve", "1", str(u_max), "--threads", "3"]) == 0
+    assert lines_at_pool == [1]
+    assert ProbePool.sizes == [size]
+
+
 def test_search_circulant_four(capsys):
     code, out, err = run_cli(capsys, "search", "circulant", "4")
     assert code == 0
@@ -437,6 +461,45 @@ def test_interrupt_exits_quietly():
     assert proc.returncode == 130
     assert "Traceback" not in err.decode()
     assert "ForkPoolWorker" not in err.decode()
+
+
+def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
+    # The first record comes before the pool module is even loaded, so this
+    # is where test_interrupt_exits_quietly's Ctrl-C mostly lands. A stand-in
+    # for the pool module sends it at the last moment before the pool.
+    script = tmp_path / "no_pool_yet.py"
+    script.write_text(textwrap.dedent("""
+        import os, signal, sys, time
+        import ryser.cli
+        import ryser.criterion as criterion
+
+        class Interrupting:
+            @property
+            def Pool(self):
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(30)
+                raise AssertionError("no KeyboardInterrupt")
+
+        if __name__ == "__main__":
+            criterion.multiprocessing = Interrupting()
+            ryser.cli.available_parallelism = lambda: 2
+            sys.exit(ryser.cli.main(["sieve", "1", "4097", "--threads", "2"]))
+        """))
+    proc = subprocess.Popen([sys.executable, str(script)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err) == (130, "ryser: interrupted\n")
+    assert [json.loads(line)["u"] for line in out.splitlines()] == [1]
+    # The script led its own process group, which a worker left behind
+    # would keep alive.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):

@@ -189,14 +189,18 @@ def test_first_report_needs_only_the_first_span(monkeypatch):
 
 def test_pool_module_loads_only_for_a_pooled_sieve():
     # u up to 4097 is 2049 candidates, more than one full span, so two
-    # workers start a real pool whatever the CPU count.
+    # workers start a real pool whatever the CPU count, but only after the
+    # first report, which this process computes.
     probe = textwrap.dedent("""
         import sys
         before = set(sys.modules)
         import ryser.criterion as criterion
         serial = list(criterion.iter_sieve(1, 4097, workers=1))
         assert 'multiprocessing' not in set(sys.modules) - before
-        assert list(criterion.iter_sieve(1, 4097, workers=2)) == serial
+        pooled = criterion.iter_sieve(1, 4097, workers=2)
+        assert next(pooled) == serial[0] and serial[0].n == 4
+        assert 'multiprocessing' not in set(sys.modules) - before
+        assert list(pooled) == serial[1:]
         assert 'multiprocessing' in sys.modules
         assert criterion.multiprocessing is sys.modules['multiprocessing']
         assert not hasattr(criterion, 'no_such_name')
