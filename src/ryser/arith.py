@@ -4,13 +4,21 @@ Everything downstream trusts the parity of the orders computed here, so this
 module uses plain integer arithmetic throughout; no floating point anywhere.
 """
 
+import itertools
 import math
+import operator
 
 from .errors import NotCoprime
 
 MAX_INPUT = 1 << 63
 
 _TRIAL_LIMIT = 10 ** 6
+
+# (every odd prime below a bound, ascending; that bound). It starts with 3
+# alone, so small inputs sieve nothing, and _sieve_further doubles the bound
+# up to _TRIAL_LIMIT when trial division runs past its end. The pair is
+# replaced whole, never mutated, so any snapshot of it is a complete table.
+_odd_primes = ((3,), 4)
 
 # Witness set sufficient for deterministic Miller-Rabin on all n < 3.3e24,
 # which covers the full 63-bit input domain with room to spare.
@@ -45,30 +53,72 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n completely as (prime, exponent) pairs, ascending by prime.
 
-    The empty tuple is the factorization of 1. Trial division runs over 2, 3
-    and the 6k +- 1 pattern up to 10^6; any residual cofactor is split
-    recursively with a seeded Brent-Pollard rho, so the output is
-    deterministic. Every prime is proved: a trial divisor because all
-    smaller primes are divided out first, a large one by is_prime.
+    The empty tuple is the factorization of 1. n may be any integer type
+    (operator.index), never a float. Trial division runs over 2 and a cached
+    table of the odd primes up to 10^6, sieved only as far as the inputs so
+    far needed; any residual cofactor is split recursively with a seeded
+    Brent-Pollard rho, so the output is deterministic. Every prime is proved:
+    a trial divisor because all smaller primes are divided out first, a large
+    one by is_prime.
     """
+    n = operator.index(n)
     if not 1 <= n < MAX_INPUT:
         raise ValueError(f"n must be in [1, 2^63), got {n}")
     counts: dict[int, int] = {}
     rest = n
-    for p in (2, 3):
-        while rest % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rest //= p
-    f = 5
-    while f <= _TRIAL_LIMIT and f * f <= rest:
-        for p in (f, f + 2):
-            while rest % p == 0:
-                counts[p] = counts.get(p, 0) + 1
-                rest //= p
-        f += 6
+    twos = (rest & -rest).bit_length() - 1
+    if twos:
+        counts[2] = twos
+        rest >>= twos
+    limit = math.isqrt(rest)
+    primes, sieved = _odd_primes
+    tested = 0
+    while True:
+        for p in itertools.islice(primes, tested, None):
+            if p > limit:
+                break
+            if rest % p == 0:
+                e = 0
+                while rest % p == 0:
+                    rest //= p
+                    e += 1
+                counts[p] = e
+                limit = math.isqrt(rest)
+        else:
+            # Every tabled prime is tried; sieve on while a prime up to the
+            # limit and below _TRIAL_LIMIT may still divide rest.
+            if sieved <= limit and sieved < _TRIAL_LIMIT:
+                tested = len(primes)
+                primes, sieved = _sieve_further(primes, sieved)
+                continue
+        break
     if rest > 1:
         _split(rest, counts)
     return tuple(sorted(counts.items()))
+
+
+def _sieve_further(primes: tuple[int, ...],
+                   lo: int) -> tuple[tuple[int, ...], int]:
+    """The odd primes below lo extended to hi = min(2 lo, _TRIAL_LIMIT), and
+    hi; the pair also replaces _odd_primes.
+
+    A segmented sieve of the odd numbers in [lo, hi): a composite there has
+    a prime factor below sqrt(hi) <= lo, so primes holds all it needs.
+    """
+    global _odd_primes
+    hi = min(2 * lo, _TRIAL_LIMIT)
+    odd = bytearray([1]) * ((hi - lo) // 2)  # odd[j] stands for lo + 1 + 2j
+    for p in primes:
+        if p * p >= hi:
+            break
+        start = max(p * p, (lo // p + 1) * p)  # first multiple past lo
+        if start % 2 == 0:
+            start += p
+        j = (start - lo - 1) // 2
+        odd[j::p] = bytes(len(range(j, len(odd), p)))
+    found = itertools.compress(range(lo + 1, hi, 2), odd)
+    _odd_primes = (primes + tuple(found), hi)
+    return _odd_primes
 
 
 def _split(m: int, counts: dict[int, int]) -> None:

@@ -1,6 +1,10 @@
 import math
 import random
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
 from ryser.arith import euler_phi, factorize, is_prime, multiplicative_order
@@ -49,6 +53,69 @@ def test_factorize_round_trip_uniform_63_bit():
 def test_factorize_splits_large_cofactors():
     for n, pairs in LARGE_COFACTORS.items():
         assert factorize(n) == pairs
+
+
+# Primes on either side of one of the prime table's doubling bounds (2^16)
+# and of the trial-division limit (10^6).
+TABLE_EDGES = (65521, 65537, 999983, 1000003)
+
+
+def test_factorize_matches_the_oracle_around_the_table_edges():
+    values = [p ** k for p in TABLE_EDGES for k in (1, 2)]
+    for n in values + [999983 * 1000003, 3 * 65537 ** 2]:
+        assert factorize(n) == tuple(naive_factor(n)), n
+
+
+def run_fresh(probe, *args):
+    """stdout of probe run in a new interpreter: its prime table is unbuilt."""
+    argv = [sys.executable, "-c", textwrap.dedent(probe), *args]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_factorize_does_not_depend_on_which_input_grows_the_table():
+    probe = """
+        import sys
+        from ryser.arith import factorize
+        small = [*range(1, 3000), 65521 ** 2, 65537 ** 2, 999983 * 1000003]
+        large = [(1 << 63) - 25, 1000003 ** 3, (1 << 63) - 1]
+        inputs = large + small if sys.argv[1] == "large" else small + large
+        print(sorted((n, factorize(n)) for n in inputs))
+        """
+    large_first = run_fresh(probe, "large")
+    assert large_first == run_fresh(probe, "small")
+    assert "(9223372036854775783, ((9223372036854775783, 1),))" in large_first
+
+
+def test_small_inputs_leave_the_prime_table_unbuilt():
+    # Neither `check 3` nor a sieve's first record pays for sieving, and a
+    # complete table is never sieved again.
+    run_fresh("""
+        from ryser import arith
+        from ryser.criterion import check_order, theorem_witnesses
+        unbuilt = arith._odd_primes
+        check_order(36), theorem_witnesses(1), arith.factorize(3)
+        assert arith._odd_primes is unbuilt, arith._odd_primes
+        arith.factorize(1000003 ** 2)
+        complete = arith._odd_primes
+        assert complete[1] == 10 ** 6 and complete[0][-1] == 999983
+        assert len(complete[0]) == 78497  # the odd primes below 10^6
+        arith.factorize((1 << 63) - 25)
+        assert arith._odd_primes is complete
+        """)
+
+
+def test_factorize_takes_integers_only():
+    # A float would pass the range check and leak into primes and phi.
+    with pytest.raises(TypeError):
+        factorize(26.0)
+    with pytest.raises(TypeError):
+        euler_phi(10.0)
+    assert factorize(True) == ()
+    pairs = factorize(np.int64(26))
+    assert pairs == ((2, 1), (13, 1))
+    assert {type(x) for pair in pairs for x in pair} == {int}
 
 
 def test_factorize_rejects_out_of_domain():

@@ -318,17 +318,29 @@ def test_search_barker_thirteen(capsys):
     assert "+++++--++-+-+" in lines[:-1]
 
 
-def test_search_output_matches_the_benchmark_references(capsys):
+def assert_matches_the_benchmark_references(capsys, *argvs):
     # bench/refs.json holds the digests of these outputs at the seed commit,
-    # so every later search must print them byte for byte.
+    # so every later version must print them byte for byte.
     refs_path = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
     refs = json.loads(refs_path.read_text())
-    for argv in (("search", "circulant", "4"), ("search", "circulant", "25"),
-                 ("search", "barker", "13"), ("search", "barker", "24")):
+    for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == refs[" ".join(argv)], argv
+
+
+def test_search_output_matches_the_benchmark_references(capsys):
+    assert_matches_the_benchmark_references(
+        capsys, ("search", "circulant", "4"), ("search", "circulant", "25"),
+        ("search", "barker", "13"), ("search", "barker", "24"))
+
+
+def test_sieve_output_matches_the_benchmark_references(capsys):
+    # The deep window walks the whole prime table to 10^6 and splits the
+    # cofactors above it.
+    assert_matches_the_benchmark_references(
+        capsys, ("sieve", "1", "145"), ("sieve", "1000000001", "1000000079"))
 
 
 def test_search_guards(capsys):
