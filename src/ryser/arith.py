@@ -4,6 +4,7 @@ Everything downstream trusts the parity of the orders computed here, so this
 module uses plain integer arithmetic throughout; no floating point anywhere.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -12,21 +13,21 @@ from .errors import NotCoprime
 
 MAX_INPUT = 1 << 63
 
-_TRIAL_LIMIT = 10 ** 6
+_TRIAL_LIMIT = 1 << 16
 
-# (every odd prime below a bound, ascending; that bound). It starts with 3
-# alone, so small inputs sieve nothing, and _sieve_further doubles the bound
-# up to _TRIAL_LIMIT when trial division runs past its end. The pair is
-# replaced whole, never mutated, so any snapshot of it is a complete table.
-_odd_primes = ((3,), 4)
-
-# Witness set sufficient for deterministic Miller-Rabin on all n < 3.3e24,
-# which covers the full 63-bit input domain with room to spare.
+# Deterministic Miller-Rabin witnesses: the first twelve primes decide every
+# n below 318665857834031151167461 (about 3.2e23), far above the 2^64 that
+# is_prime accepts; that number itself is a strong pseudoprime to all twelve.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, valid for all n below 2^64."""
+    """Deterministic Miller-Rabin test, valid for all n below 2^64.
+
+    Raises ValueError for n >= 2^64, outside that domain.
+    """
+    if n >= 1 << 64:
+        raise ValueError(f"n must be below 2^64, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -54,12 +55,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n completely as (prime, exponent) pairs, ascending by prime.
 
     The empty tuple is the factorization of 1. n may be any integer type
-    (operator.index), never a float. Trial division runs over 2 and a cached
-    table of the odd primes up to 10^6, sieved only as far as the inputs so
-    far needed; any residual cofactor is split recursively with a seeded
-    Brent-Pollard rho, so the output is deterministic. Every prime is proved:
-    a trial divisor because all smaller primes are divided out first, a large
-    one by is_prime.
+    (operator.index), never a float. Trial division runs over 2 and the odd
+    primes below 2^16, sieved once per process; any residual cofactor is
+    split recursively with a seeded Brent-Pollard rho, so the output is
+    deterministic. Every prime is proved: a trial divisor because all smaller
+    primes are divided out first, a large one by is_prime.
     """
     n = operator.index(n)
     if not 1 <= n < MAX_INPUT:
@@ -71,59 +71,34 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         counts[2] = twos
         rest >>= twos
     limit = math.isqrt(rest)
-    primes, sieved = _odd_primes
-    tested = 0
-    while True:
-        for p in itertools.islice(primes, tested, None):
-            if p > limit:
-                break
-            if rest % p == 0:
-                e = 0
-                while rest % p == 0:
-                    rest //= p
-                    e += 1
-                counts[p] = e
-                limit = math.isqrt(rest)
-        else:
-            # Every tabled prime is tried; sieve on while a prime up to the
-            # limit and below _TRIAL_LIMIT may still divide rest.
-            if sieved <= limit and sieved < _TRIAL_LIMIT:
-                tested = len(primes)
-                primes, sieved = _sieve_further(primes, sieved)
-                continue
-        break
+    for p in _odd_primes():
+        if p > limit:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            counts[p] = e
+            limit = math.isqrt(rest)
     if rest > 1:
         _split(rest, counts)
     return tuple(sorted(counts.items()))
 
 
-def _sieve_further(primes: tuple[int, ...],
-                   lo: int) -> tuple[tuple[int, ...], int]:
-    """The odd primes below lo extended to hi = min(2 lo, _TRIAL_LIMIT), and
-    hi; the pair also replaces _odd_primes.
-
-    A segmented sieve of the odd numbers in [lo, hi): a composite there has
-    a prime factor below sqrt(hi) <= lo, so primes holds all it needs.
-    """
-    global _odd_primes
-    hi = min(2 * lo, _TRIAL_LIMIT)
-    odd = bytearray([1]) * ((hi - lo) // 2)  # odd[j] stands for lo + 1 + 2j
-    for p in primes:
-        if p * p >= hi:
-            break
-        start = max(p * p, (lo // p + 1) * p)  # first multiple past lo
-        if start % 2 == 0:
-            start += p
-        j = (start - lo - 1) // 2
-        odd[j::p] = bytes(len(range(j, len(odd), p)))
-    found = itertools.compress(range(lo + 1, hi, 2), odd)
-    _odd_primes = (primes + tuple(found), hi)
-    return _odd_primes
+@functools.cache
+def _odd_primes() -> tuple[int, ...]:
+    """The odd primes below _TRIAL_LIMIT, ascending, by Eratosthenes."""
+    sieve = bytearray([1]) * _TRIAL_LIMIT
+    for p in range(3, math.isqrt(_TRIAL_LIMIT) + 1, 2):
+        if sieve[p]:
+            sieve[p * p::2 * p] = bytes(len(range(p * p, _TRIAL_LIMIT, 2 * p)))
+    return tuple(itertools.compress(range(3, _TRIAL_LIMIT, 2), sieve[3::2]))
 
 
 def _split(m: int, counts: dict[int, int]) -> None:
-    # m has no prime factor below 10^6 here, so it is 1, a prime, or a
-    # product of at most three large primes (m < 2^63 < (10^6)^4).
+    # m has no prime factor below 2^16 here, so it is 1, a prime, or a
+    # product of at most three large primes (m < 2^63 < (2^16)^4).
     if is_prime(m):
         counts[m] = counts.get(m, 0) + 1
         return

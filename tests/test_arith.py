@@ -55,14 +55,17 @@ def test_factorize_splits_large_cofactors():
         assert factorize(n) == pairs
 
 
-# Primes on either side of one of the prime table's doubling bounds (2^16)
-# and of the trial-division limit (10^6).
+# Primes on either side of the trial-division limit (2^16): 65521 is the
+# last tabled prime and 65537 the first that _split must find. 999983 and
+# 1000003 straddle 10^6, one more edge: both lie above the table, so their
+# product reaches the Brent-Pollard split.
 TABLE_EDGES = (65521, 65537, 999983, 1000003)
 
 
 def test_factorize_matches_the_oracle_around_the_table_edges():
     values = [p ** k for p in TABLE_EDGES for k in (1, 2)]
-    for n in values + [999983 * 1000003, 3 * 65537 ** 2]:
+    for n in values + [999983 * 1000003, 3 * 65537 ** 2,
+                       65521 * 65537, 65537 * 65539]:
         assert factorize(n) == tuple(naive_factor(n)), n
 
 
@@ -88,22 +91,23 @@ def test_factorize_does_not_depend_on_which_input_grows_the_table():
     assert "(9223372036854775783, ((9223372036854775783, 1),))" in large_first
 
 
-def test_small_inputs_leave_the_prime_table_unbuilt():
-    # Neither `check 3` nor a sieve's first record pays for sieving, and a
-    # complete table is never sieved again.
-    run_fresh("""
+def test_prime_table_is_sieved_once_and_only_when_needed():
+    # `check 3` factors nothing, so it pays for no sieve; small and 63-bit
+    # inputs then share the one table of the odd primes below 2^16.
+    out = run_fresh("""
         from ryser import arith
-        from ryser.criterion import check_order, theorem_witnesses
-        unbuilt = arith._odd_primes
-        check_order(36), theorem_witnesses(1), arith.factorize(3)
-        assert arith._odd_primes is unbuilt, arith._odd_primes
-        arith.factorize(1000003 ** 2)
-        complete = arith._odd_primes
-        assert complete[1] == 10 ** 6 and complete[0][-1] == 999983
-        assert len(complete[0]) == 78497  # the odd primes below 10^6
-        arith.factorize((1 << 63) - 25)
-        assert arith._odd_primes is complete
+        from ryser.criterion import check_order
+        check_order(3)
+        assert arith._odd_primes.cache_info().currsize == 0
+        for n in (3, 36, 65521 * 65537, (1 << 63) - 25, 1000003 ** 3):
+            arith.factorize(n)
+        info = arith._odd_primes.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), info
+        print(*arith._odd_primes())
         """)
+    primes = [int(p) for p in out.split()]
+    assert primes == [p for p in range(3, 1 << 16, 2) if naive_is_prime(p)]
+    assert primes[-1] == 65521
 
 
 def test_factorize_takes_integers_only():
@@ -130,6 +134,18 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == naive_is_prime(n)
     assert is_prime(2 ** 61 - 1)
     assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+
+
+def test_is_prime_refuses_numbers_its_witnesses_cannot_decide():
+    # The smallest strong pseudoprime to every base in _MR_BASES: above 2^64,
+    # the fixed witness set would call it prime.
+    pseudoprime = 399165290221 * 798330580441
+    assert pseudoprime == 318665857834031151167461
+    for n in (pseudoprime, 1 << 64):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert is_prime((1 << 64) - 59)  # the largest prime below 2^64
+    assert not is_prime((1 << 64) - 1)
 
 
 def test_euler_phi_examples():

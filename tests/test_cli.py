@@ -337,8 +337,8 @@ def test_search_output_matches_the_benchmark_references(capsys):
 
 
 def test_sieve_output_matches_the_benchmark_references(capsys):
-    # The deep window walks the whole prime table to 10^6 and splits the
-    # cofactors above it.
+    # The deep window factors numbers with prime factors above the 2^16
+    # trial-division table, so it also runs the Brent-Pollard splitting.
     assert_matches_the_benchmark_references(
         capsys, ("sieve", "1", "145"), ("sieve", "1000000001", "1000000079"))
 
