@@ -6,6 +6,12 @@ circulant Hadamard matrix of order n exists, then for every prime p | n,
 with p^(2a) || n and m = n / p^(2a), ord_m(p) is odd. One even order
 certifies rejection; survivors are undecided, never confirmed.
 
+No modulus m is factored. Each order is an lcm of orders modulo the prime
+powers of m: 4 for odd p, and q^(2b) for each other prime q with q^b || u,
+the order mod q lifted to q^(2b). An explicit check keeps u at most
+MAX_SIEVE_BOUND, where n = 4u^2 is still below 2^63, since no factorization
+of m stops a larger u.
+
 The proof is taken from the paper, not checked here. A row's m-compression
 a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
 of unity, and tests/test_theorem_audit.py finds 45 length-9 and 4 length-4
@@ -103,22 +109,55 @@ def parse_candidate(n: int) -> int:
 def theorem_witnesses(u: int) -> CriterionReport:
     """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
-    u must be odd and positive; the primes of n are 2 and those of u, which
-    is factored here. For p = 2 the modulus is u^2; for an odd prime p with
-    p^a exactly dividing u it is n / p^(2a). Coprimality of p and its
-    modulus is structural, so every order is defined.
+    u must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays
+    below 2^63; other u raise ValueError. The primes of n are 2 and those of
+    u, which is factored here. For p = 2 the modulus is u^2; for an odd
+    prime p with p^a exactly dividing u it is n / p^(2a). Coprimality of p
+    and its modulus is structural, so every order is defined.
+
+    No modulus is factored (see the module docstring): besides u, only
+    q - 1 is, once for each prime q of u, for the order mod q that
+    _prime_power_order lifts to q^(2b).
     """
     if u < 1 or u % 2 == 0:
         raise ValueError("u must be an odd positive integer")
+    if u > MAX_SIEVE_BOUND:
+        raise ValueError(f"u {u} exceeds {MAX_SIEVE_BOUND}, the largest u "
+                         "with n = 4u^2 below 2^63")
     n = 4 * u * u
+    primes = factorize(u)
+    lifts = [(q, q ** (2 * b), factorize(q - 1)) for q, b in primes]
     witnesses = []
-    for p, a in ((2, 1),) + factorize(u):
+    for p, a in ((2, 1),) + primes:
         power = p ** (2 * a)
-        m = n // power
-        witnesses.append(WitnessRecord(p=p, a=a, m=m,
-                                       order=multiplicative_order(p, m),
+        order = math.lcm(*(_prime_power_order(p, q, modulus, split)
+                           for q, modulus, split in lifts if q != p))
+        if p != 2:
+            order = math.lcm(order, multiplicative_order(p, 4))
+        witnesses.append(WitnessRecord(p=p, a=a, m=n // power, order=order,
                                        j_index=1 + power % n))
     return CriterionReport(n=n, witnesses=tuple(witnesses))
+
+
+def _prime_power_order(p: int, q: int, modulus: int,
+                       split: tuple[tuple[int, int], ...]) -> int:
+    """Order of p mod modulus, a power of an odd prime q not dividing p.
+
+    split is factorize(q - 1). The order t mod q is q - 1 divided down over
+    those primes while p^t stays 1 mod q. The order mod q^k is t times the
+    least q^j with p^(t q^j) congruent to 1, since p^t lies in the kernel
+    of reduction mod q, of order q^(k-1). By lifting the exponent that is
+    q^(k - s), with s the valuation v_q(p^t - 1) capped at k.
+    """
+    t = q - 1
+    for r, _ in split:
+        while t % r == 0 and pow(p, t // r, q) == 1:
+            t //= r
+    x = pow(p, t, modulus)
+    while x != 1:
+        x = pow(x, q, modulus)
+        t *= q
+    return t
 
 
 def check_order(n: int) -> CriterionReport:

@@ -1,13 +1,16 @@
 import math
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from ryser.arith import factorize, multiplicative_order
 from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CriterionReport,
-                             Verdict, _validated_spans, check_order,
-                             iter_sieve, parse_candidate, theorem_witnesses)
+                             Verdict, _prime_power_order, _validated_spans,
+                             check_order, iter_sieve, parse_candidate,
+                             theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import check_record, naive_factor, naive_order
@@ -111,6 +114,59 @@ def test_witness_structure_and_orders_match_naive_oracle():
             assert math.gcd(w.p, w.m) == 1
             assert w.order == naive_order(w.p, w.m)
             assert w.j_index == 1 + (w.p ** (2 * w.a)) % report.n
+
+
+def test_lifted_orders_match_orders_from_factoring_m():
+    # arith.multiplicative_order factors m and phi(m), an independent path.
+    # 1093 and 3511 are the Wieferich primes: 2^(q-1) is 1 mod q^2, so the
+    # order of 2 mod q^2 is not lifted by q. 3^5 is 1 mod 11^2, so the order
+    # of 3 mod 11^(2b) lifts by 11^(2b-2), not 11^(2b-1).
+    fixed = [1093, 3511, 1093 ** 2, 1093 * 3511, 33, 363, 3993]
+    rng = random.Random(18)
+    sample = [rng.randrange(1, MAX_SIEVE_BOUND + 1, 2) for _ in range(200)]
+    for u in fixed + sample:
+        for w in theorem_witnesses(u).witnesses:
+            assert w.order == multiplicative_order(w.p, w.m), (u, w)
+
+
+def test_prime_power_order_matches_naive_oracle():
+    for q in (3, 5, 7, 11, 13):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            if p == q:
+                continue
+            for k in range(1, 5):
+                assert (_prime_power_order(p, q, q ** k, factorize(q - 1))
+                        == naive_order(p, q ** k)), (p, q, k)
+    # The Wieferich prime 1093: 2^1092 is already 1 mod 1093^2.
+    assert _prime_power_order(2, 1093, 1093 ** 2, factorize(1092)) == 364
+
+
+def test_theorem_witnesses_never_factors_a_modulus(monkeypatch):
+    factored, ordered = [], []
+
+    def counted_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    def counted_order(p, m):
+        ordered.append(m)
+        return multiplicative_order(p, m)
+
+    monkeypatch.setattr("ryser.criterion.factorize", counted_factorize)
+    monkeypatch.setattr("ryser.criterion.multiplicative_order", counted_order)
+    u = 3 ** 2 * 5 * 1093
+    theorem_witnesses(u)
+    assert factored == [u, 2, 4, 1092]
+    assert ordered == [4, 4, 4]
+
+
+def test_theorem_witnesses_domain_ends_at_the_sieve_bound():
+    report = theorem_witnesses(MAX_SIEVE_BOUND)
+    assert report.n == 4 * MAX_SIEVE_BOUND ** 2 < 2 ** 63
+    # No factorization of m refuses these u; the explicit bound must.
+    for u in (MAX_SIEVE_BOUND + 2, 2 ** 32 + 1):
+        with pytest.raises(ValueError, match=f"^u {u} exceeds"):
+            theorem_witnesses(u)
 
 
 def test_mod_four_shortcut_forces_rejection():
