@@ -86,6 +86,36 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
+def _factor_odd_span(lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
+    """factorize(u) for every odd u in [lo, hi), lo odd, in one pass.
+
+    Each odd prime r up to isqrt(hi - 1) walks its odd multiples in the span
+    and is divided out of them, so no u is trial-divided on its own. What is
+    left of a u above 1 then has no prime factor up to its square root, so
+    it is a prime, larger than every r: the pairs come out ascending, with
+    no primality test. hi - 1 must stay below _TRIAL_LIMIT^2.
+    """
+    rests = list(range(lo, hi, 2))
+    found: list[list[tuple[int, int]]] = [[] for _ in rests]
+    limit = math.isqrt(hi - 1)
+    for r in _odd_primes():
+        if r > limit:
+            break
+        # lo + 2i is a multiple of r for i = -lo / 2 mod r, and every r-th
+        # index after it; (r + 1) // 2 is the inverse of 2 mod r.
+        for i in range(-lo * ((r + 1) // 2) % r, len(rests), r):
+            rest, e = rests[i] // r, 1
+            while rest % r == 0:
+                rest //= r
+                e += 1
+            rests[i] = rest
+            found[i].append((r, e))
+    for pairs, rest in zip(found, rests):
+        if rest > 1:
+            pairs.append((rest, 1))
+    return [tuple(pairs) for pairs in found]
+
+
 @functools.cache
 def _odd_primes() -> tuple[int, ...]:
     """The odd primes below _TRIAL_LIMIT, ascending, by Eratosthenes."""

@@ -91,6 +91,22 @@ def _report_dict(report: CriterionReport) -> dict:
     }
 
 
+def _sieve_line(u: int, report: CriterionReport, verdict: Verdict,
+                rejection_primes: tuple[int, ...]) -> str:
+    """One sieve record as JSON, the text json.dumps gives its dict.
+
+    Every field is an int or a fixed ASCII word, so plain formatting with
+    json.dumps's default separators writes the same bytes, faster.
+    """
+    witnesses = ", ".join(
+        f'{{"p": {w.p}, "a": {w.a}, "m": {w.m}, "order": {w.order}, '
+        f'"parity": "{w.parity}", "j_index": {w.j_index}}}'
+        for w in report.witnesses)
+    return (f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
+            f'"rejection_primes": [{", ".join(map(str, rejection_primes))}], '
+            f'"witnesses": [{witnesses}]}}')
+
+
 def _spectrum_dict(report) -> dict:
     return {
         "eigenvalues": [[b.real, b.imag] for b in report.eigenvalues],
@@ -169,25 +185,21 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         writer.writerow(["u", "n", "verdict", "rejection_primes", "witnesses"])
     for report in reports:
         u = math.isqrt(report.n // 4)
-        counts[report.verdict.value] += 1
-        if report.verdict is Verdict.NOT_DECIDED:
+        verdict = report.verdict
+        rejection_primes = report.rejection_primes
+        counts[verdict.value] += 1
+        if verdict is Verdict.NOT_DECIDED:
             survivors.append(u)
         if writer is not None:
             writer.writerow([
-                u, report.n, report.verdict.value,
-                ";".join(str(p) for p in report.rejection_primes),
+                u, report.n, verdict.value,
+                ";".join(map(str, rejection_primes)),
                 ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses),
             ])
             sys.stdout.flush()
         else:
-            record = {
-                "u": u,
-                "n": report.n,
-                "verdict": report.verdict.value,
-                "rejection_primes": list(report.rejection_primes),
-                "witnesses": [_witness_dict(w) for w in report.witnesses],
-            }
-            print(json.dumps(record), flush=True)
+            print(_sieve_line(u, report, verdict, rejection_primes),
+                  flush=True)
     total = sum(counts.values())
     summary = {"total": total, "counts": counts, "survivors": survivors}
     if writer is None:

@@ -12,6 +12,11 @@ the order mod q lifted to q^(2b). An explicit check keeps u at most
 MAX_SIEVE_BOUND, where n = 4u^2 is still below 2^63, since no factorization
 of m stops a larger u.
 
+theorem_witnesses(u) factors u itself, or takes its primes through the
+primes keyword. The sieve passes them: it factors each span's odd u
+together, in one segmented pass of the odd primes up to the square root of
+the span's end (arith._factor_odd_span), so no u is trial-divided alone.
+
 The proof is taken from the paper, not checked here. A row's m-compression
 a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
 of unity, and tests/test_theorem_audit.py finds 45 length-9 and 4 length-4
@@ -27,7 +32,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
 
-from .arith import MAX_INPUT, factorize, multiplicative_order
+from .arith import MAX_INPUT, _factor_odd_span, factorize, multiplicative_order
 from .errors import NotCandidateForm, RangeTooLarge
 
 DEFAULT_SIEVE_CAP = 10 ** 7
@@ -86,7 +91,7 @@ class CriterionReport(namedtuple("CriterionReport", "n witnesses")):
     def verdict(self) -> Verdict:
         if not self.witnesses:
             return Verdict.NOT_APPLICABLE
-        if self.rejection_primes:
+        if any(w.order % 2 == 0 for w in self.witnesses):
             return Verdict.REJECTED
         return Verdict.NOT_DECIDED
 
@@ -106,14 +111,18 @@ def parse_candidate(n: int) -> int:
     return root
 
 
-def theorem_witnesses(u: int) -> CriterionReport:
+def theorem_witnesses(u: int, *,
+                      primes: tuple[tuple[int, int], ...] | None = None
+                      ) -> CriterionReport:
     """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
     u must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays
     below 2^63; other u raise ValueError. The primes of n are 2 and those of
-    u, which is factored here. For p = 2 the modulus is u^2; for an odd
-    prime p with p^a exactly dividing u it is n / p^(2a). Coprimality of p
-    and its modulus is structural, so every order is defined.
+    u: primes, as factorize(u) returns them, or factorize(u) itself when
+    primes is None. Pairs whose product is not u raise ValueError. For
+    p = 2 the modulus is u^2; for an odd prime p with p^a exactly dividing u
+    it is n / p^(2a). Coprimality of p and its modulus is structural, so
+    every order is defined.
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, once for each prime q of u, for the order mod q that
@@ -124,8 +133,11 @@ def theorem_witnesses(u: int) -> CriterionReport:
     if u > MAX_SIEVE_BOUND:
         raise ValueError(f"u {u} exceeds {MAX_SIEVE_BOUND}, the largest u "
                          "with n = 4u^2 below 2^63")
+    if primes is None:
+        primes = factorize(u)
+    elif math.prod(q ** b for q, b in primes) != u:
+        raise ValueError(f"the pairs {primes} do not multiply to u {u}")
     n = 4 * u * u
-    primes = factorize(u)
     lifts = [(q, q ** (2 * b), factorize(q - 1)) for q, b in primes]
     witnesses = []
     for p, a in ((2, 1),) + primes:
@@ -171,7 +183,8 @@ def check_order(n: int) -> CriterionReport:
 
 def _sieve_span(span: tuple[int, int]) -> list[CriterionReport]:
     lo, hi = span
-    return [theorem_witnesses(u) for u in range(lo, hi, 2)]
+    return [theorem_witnesses(u, primes=primes)
+            for u, primes in zip(range(lo, hi, 2), _factor_odd_span(lo, hi))]
 
 
 def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:

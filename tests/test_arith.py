@@ -7,7 +7,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from ryser.arith import euler_phi, factorize, is_prime, multiplicative_order
+from ryser.arith import (_factor_odd_span, euler_phi, factorize, is_prime,
+                         multiplicative_order)
+from ryser.criterion import MAX_SIEVE_BOUND
 from ryser.errors import NotCoprime
 
 from oracles import naive_factor, naive_is_prime, naive_order
@@ -67,6 +69,35 @@ def test_factorize_matches_the_oracle_around_the_table_edges():
     for n in values + [999983 * 1000003, 3 * 65537 ** 2,
                        65521 * 65537, 65537 * 65539]:
         assert factorize(n) == tuple(naive_factor(n)), n
+
+
+# The sieve's first span, its first full one, and full spans of 1024 odd u
+# at each depth it reaches, the last one ending at the ceiling.
+SIEVE_SPANS = [(1, 3), (1, 2049), (20001, 22049), (10 ** 6 + 1, 10 ** 6 + 2049),
+               (10 ** 9 + 1, 10 ** 9 + 2049),
+               (MAX_SIEVE_BOUND - 2046, MAX_SIEVE_BOUND + 1)]
+
+
+@pytest.mark.parametrize("lo, hi", SIEVE_SPANS,
+                         ids=[str(lo) for lo, _ in SIEVE_SPANS])
+def test_segmented_pass_matches_the_oracle(lo, hi):
+    assert (_factor_odd_span(lo, hi)
+            == [tuple(naive_factor(u)) for u in range(lo, hi, 2)])
+
+
+def test_segmented_pass_on_units_primes_powers_and_large_cofactors():
+    # 38959 is the largest prime whose square is at most the ceiling: a
+    # span whose last u is 38959^2 must still walk it. The products leave a
+    # prime cofactor above the square root of the span's end. A span
+    # (u, u + 1) is what the sieve makes for a range that ends at u.
+    special = [1, 3, 5, 65521, 65537, 999983, 1000003, 1518500213,
+               38959 ** 2, 3 * 1000003, 3 ** 2 * 65537, 5 * 7 * 1000003,
+               3 * 499999931, *(3 ** k for k in range(1, 20))]
+    for u in special:
+        for lo, hi in ((u, u + 1), (max(1, u - 200), u + 1),
+                       (max(1, u - 200), u + 200)):
+            assert (_factor_odd_span(lo, hi)[(u - lo) // 2]
+                    == tuple(naive_factor(u))), (u, lo, hi)
 
 
 def run_fresh(probe, *args):

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from ryser.cli import main
+from ryser.cli import _sieve_line, _witness_dict, main
+from ryser.criterion import MAX_SIEVE_BOUND, theorem_witnesses
 
 from oracles import naive_mod_pow
 
@@ -169,6 +170,23 @@ def test_sieve_csv(capsys):
     assert fields[:4] == ["3", "36", "REJECTED", "2;3"]
     assert fields[4] == "2:9:6;3:4:2"
     assert "survivors" in err
+
+
+def test_sieve_line_is_the_json_of_its_record():
+    # u = 1 has the one witness m = 1; 73 and 89 survive; 15015 is rejected
+    # by all six of its primes; the ceiling's moduli reach 2^61.
+    for u in (1, 73, 89, 15015, MAX_SIEVE_BOUND):
+        report = theorem_witnesses(u)
+        record = {
+            "u": u,
+            "n": report.n,
+            "verdict": report.verdict.value,
+            "rejection_primes": list(report.rejection_primes),
+            "witnesses": [_witness_dict(w) for w in report.witnesses],
+        }
+        line = _sieve_line(u, report, report.verdict, report.rejection_primes)
+        assert line == json.dumps(record), u
+    assert len(theorem_witnesses(15015).rejection_primes) == 6
 
 
 class FlushCounter(io.StringIO):
@@ -337,8 +355,9 @@ def test_search_output_matches_the_benchmark_references(capsys):
 
 
 def test_sieve_output_matches_the_benchmark_references(capsys):
-    # The deep window factors numbers with prime factors above the 2^16
-    # trial-division table, so it also runs the Brent-Pollard splitting.
+    # The deep window sieves u near 10^9 in short spans, whose segmented
+    # pass walks every odd prime up to the square root of the span's end and
+    # leaves prime cofactors above it.
     assert_matches_the_benchmark_references(
         capsys, ("sieve", "1", "145"), ("sieve", "1000000001", "1000000079"))
 

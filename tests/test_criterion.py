@@ -160,6 +160,32 @@ def test_theorem_witnesses_never_factors_a_modulus(monkeypatch):
     assert ordered == [4, 4, 4]
 
 
+def test_theorem_witnesses_takes_the_primes_of_u():
+    rng = random.Random(19)
+    sample = [rng.randrange(1, MAX_SIEVE_BOUND + 1, 2) for _ in range(50)]
+    for u in [1, 3, 73, 3 ** 7, 15015, 1093 ** 2, MAX_SIEVE_BOUND] + sample:
+        assert theorem_witnesses(u, primes=factorize(u)) == theorem_witnesses(u)
+    for u, primes in ((9, ((3, 1),)), (3, ()), (1, ((3, 1),)),
+                      (15, ((3, 1), (5, 1), (7, 1)))):
+        with pytest.raises(ValueError, match="do not multiply"):
+            theorem_witnesses(u, primes=primes)
+
+
+def test_sieve_factors_no_u_alone(monkeypatch):
+    # The sieve factors each span's u in one pass; factorize sees only the
+    # even q - 1 of the order lifts.
+    factored = []
+
+    def counted(n):
+        factored.append(n)
+        return factorize(n)
+
+    expected = [theorem_witnesses(u) for u in range(1, 2050, 2)]
+    monkeypatch.setattr("ryser.criterion.factorize", counted)
+    assert list(iter_sieve(1, 2049, workers=1)) == expected
+    assert factored and all(n % 2 == 0 for n in factored)
+
+
 def test_theorem_witnesses_domain_ends_at_the_sieve_bound():
     report = theorem_witnesses(MAX_SIEVE_BOUND)
     assert report.n == 4 * MAX_SIEVE_BOUND ** 2 < 2 ** 63
@@ -234,9 +260,9 @@ def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
 def test_first_report_needs_only_the_first_span(monkeypatch):
     calls = []
 
-    def counted(u):
+    def counted(u, **kwargs):
         calls.append(u)
-        return theorem_witnesses(u)
+        return theorem_witnesses(u, **kwargs)
 
     monkeypatch.setattr("ryser.criterion.theorem_witnesses", counted)
     assert next(iter_sieve(1, 20001, workers=1)).n == 4
