@@ -6,7 +6,7 @@ anyone can recheck; verifies single rows; and searches exhaustively for
 circulant Hadamard rows and Barker sequences at desk scale.
 """
 
-from .arith import euler_phi, factorize, is_prime, multiplicative_order
+from .arith import factorize, is_prime, multiplicative_order
 from .barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation, is_barker,
                      search_barker)
 from .circulant import (MAX_SEARCH_ORDER, ROOT_CONVENTION, SignRow,
@@ -20,7 +20,7 @@ from .criterion import (DEFAULT_SIEVE_CAP, CriterionReport, Verdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "euler_phi", "factorize", "is_prime", "multiplicative_order",
+    "factorize", "is_prime", "multiplicative_order",
     "CriterionReport", "Verdict", "WitnessRecord",
     "check_order", "iter_sieve", "parse_candidate", "theorem_witnesses",
     "DEFAULT_SIEVE_CAP",

@@ -1,7 +1,9 @@
-"""Exact integer arithmetic: factorization, Euler phi, multiplicative order.
+"""Exact integer arithmetic: primality, factorization, multiplicative order.
 
 Everything downstream trusts the parity of the orders computed here, so this
 module uses plain integer arithmetic throughout; no floating point anywhere.
+An order modulo m is the lcm of the orders modulo the prime powers q^k of m,
+each lifted from the order mod q by the one order kernel, _prime_power_order.
 """
 
 import functools
@@ -179,28 +181,37 @@ def _brent(n: int) -> int:
             return g
 
 
-def euler_phi(n: int) -> int:
-    """Euler phi of n, via the product p^(e-1)(p-1) over its factorization."""
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
 def multiplicative_order(p: int, m: int) -> int:
     """Least k >= 1 with p^k congruent to 1 mod m; the order modulo 1 is 1.
 
-    Starts from phi(m) and divides out prime factors while the congruence
-    still holds, so the cost is a couple of factorizations plus O(log) powers.
+    The lcm of the orders of p modulo the prime powers q^k of m, each from
+    _prime_power_order, so the cost is the factorizations of m and of each
+    q - 1 plus O(log) powers.
     """
     if p < 2 or m < 1:
         raise ValueError("need p >= 2 and m >= 1")
-    if m == 1:
-        return 1
     if math.gcd(p % m, m) != 1:
         raise NotCoprime(f"gcd({p}, {m}) > 1, the order is undefined")
-    e = euler_phi(m)
-    for q, _ in factorize(e):
-        while e % q == 0 and pow(p, e // q, m) == 1:
-            e //= q
-    return e
+    return math.lcm(*(_prime_power_order(p, q, q ** k, factorize(q - 1))
+                      for q, k in factorize(m)))
+
+
+def _prime_power_order(p: int, q: int, modulus: int,
+                       split: tuple[tuple[int, int], ...]) -> int:
+    """Order of p mod modulus, a power q^k of a prime q not dividing p.
+
+    split is factorize(q - 1). The order t mod q is q - 1 divided down over
+    those primes while p^t stays 1 mod q. Then p^t lies in the kernel of
+    reduction mod q, a group of order q^(k-1), so its order there is a power
+    of q: p^t is raised to the q-th power until it is 1 mod q^k, and t is
+    multiplied by q each time. This holds for q = 2 too, where t is 1.
+    """
+    t = q - 1
+    for r, _ in split:
+        while t % r == 0 and pow(p, t // r, q) == 1:
+            t //= r
+    x = pow(p, t, modulus)
+    while x != 1:
+        x = pow(x, q, modulus)
+        t *= q
+    return t

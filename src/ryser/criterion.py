@@ -8,9 +8,9 @@ certifies rejection; survivors are undecided, never confirmed.
 
 No modulus m is factored. Each order is an lcm of orders modulo the prime
 powers of m: 4 for odd p, and q^(2b) for each other prime q with q^b || u,
-the order mod q lifted to q^(2b). An explicit check keeps u at most
-MAX_SIEVE_BOUND, where n = 4u^2 is still below 2^63, since no factorization
-of m stops a larger u.
+the order mod q lifted to q^(2b) by arith._prime_power_order. An explicit
+check keeps u at most MAX_SIEVE_BOUND, where n = 4u^2 is still below 2^63,
+since no factorization of m stops a larger u.
 
 theorem_witnesses(u) factors u itself, or takes its primes through the
 primes keyword. The sieve passes them: it factors each span's odd u
@@ -32,7 +32,8 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from enum import Enum
 
-from .arith import MAX_INPUT, _factor_odd_span, factorize, multiplicative_order
+from .arith import (MAX_INPUT, _factor_odd_span, _prime_power_order, factorize,
+                    multiplicative_order)
 from .errors import NotCandidateForm, RangeTooLarge
 
 DEFAULT_SIEVE_CAP = 10 ** 7
@@ -119,14 +120,16 @@ def theorem_witnesses(u: int, *,
     u must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays
     below 2^63; other u raise ValueError. The primes of n are 2 and those of
     u: primes, as factorize(u) returns them, or factorize(u) itself when
-    primes is None. Pairs whose product is not u raise ValueError. For
+    primes is None. Pairs not strictly ascending, with an exponent below 1
+    or a product other than u raise ValueError; their primes are trusted to
+    be prime, as the sieve's segmented pass proves them. For
     p = 2 the modulus is u^2; for an odd prime p with p^a exactly dividing u
     it is n / p^(2a). Coprimality of p and its modulus is structural, so
     every order is defined.
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, once for each prime q of u, for the order mod q that
-    _prime_power_order lifts to q^(2b).
+    arith._prime_power_order lifts to q^(2b).
     """
     if u < 1 or u % 2 == 0:
         raise ValueError("u must be an odd positive integer")
@@ -135,6 +138,10 @@ def theorem_witnesses(u: int, *,
                          "with n = 4u^2 below 2^63")
     if primes is None:
         primes = factorize(u)
+    elif (any(b < 1 for _, b in primes)
+          or any(q >= r for (q, _), (r, _) in itertools.pairwise(primes))):
+        raise ValueError(f"the pairs {primes} are not strictly ascending "
+                         "with exponents of at least 1")
     elif math.prod(q ** b for q, b in primes) != u:
         raise ValueError(f"the pairs {primes} do not multiply to u {u}")
     n = 4 * u * u
@@ -149,27 +156,6 @@ def theorem_witnesses(u: int, *,
         witnesses.append(WitnessRecord(p=p, a=a, m=n // power, order=order,
                                        j_index=1 + power % n))
     return CriterionReport(n=n, witnesses=tuple(witnesses))
-
-
-def _prime_power_order(p: int, q: int, modulus: int,
-                       split: tuple[tuple[int, int], ...]) -> int:
-    """Order of p mod modulus, a power of an odd prime q not dividing p.
-
-    split is factorize(q - 1). The order t mod q is q - 1 divided down over
-    those primes while p^t stays 1 mod q. The order mod q^k is t times the
-    least q^j with p^(t q^j) congruent to 1, since p^t lies in the kernel
-    of reduction mod q, of order q^(k-1). By lifting the exponent that is
-    q^(k - s), with s the valuation v_q(p^t - 1) capped at k.
-    """
-    t = q - 1
-    for r, _ in split:
-        while t % r == 0 and pow(p, t // r, q) == 1:
-            t //= r
-    x = pow(p, t, modulus)
-    while x != 1:
-        x = pow(x, q, modulus)
-        t *= q
-    return t
 
 
 def check_order(n: int) -> CriterionReport:

@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive: repeated multiplication, full trial
 division, exhaustive enumeration. The library must agree with these on every
-value the tests freeze. check_record states the contract every ryser record
-(WitnessRecord, CriterionReport, SignRow, SpectrumReport) keeps.
+value the tests freeze. is_exact_order certifies orders too large to iterate;
+it factors only the stated order, with factorize, which tests/test_arith.py
+checks against naive_factor. check_record states the contract every ryser
+record (WitnessRecord, CriterionReport, SignRow, SpectrumReport) keeps.
 """
 
 import itertools
 import pickle
 
 import pytest
+
+from ryser.arith import factorize
 
 
 def naive_mod_pow(base, exp, modulus):
@@ -31,6 +35,14 @@ def naive_order(p, m):
         k += 1
         assert k <= m, "order iteration ran away; base not coprime?"
     return k
+
+
+def is_exact_order(p, m, e):
+    """Whether e is the order of p mod m, by certificate: p^e is 1 mod m, and
+    p^(e/r) is not, for each prime r of e. No order kernel is involved."""
+    if pow(p, e, m) != 1 % m:
+        return False
+    return all(pow(p, e // r, m) != 1 % m for r, _ in factorize(e))
 
 
 def naive_factor(n):

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from ryser.arith import (_factor_odd_span, euler_phi, factorize, is_prime,
+from ryser.arith import (_factor_odd_span, factorize, is_prime,
                          multiplicative_order)
 from ryser.criterion import MAX_SIEVE_BOUND
 from ryser.errors import NotCoprime
@@ -142,11 +142,11 @@ def test_prime_table_is_sieved_once_and_only_when_needed():
 
 
 def test_factorize_takes_integers_only():
-    # A float would pass the range check and leak into primes and phi.
+    # A float would pass the range check and leak into primes and orders.
     with pytest.raises(TypeError):
         factorize(26.0)
     with pytest.raises(TypeError):
-        euler_phi(10.0)
+        multiplicative_order(3, 10.0)
     assert factorize(True) == ()
     pairs = factorize(np.int64(26))
     assert pairs == ((2, 1), (13, 1))
@@ -179,18 +179,6 @@ def test_is_prime_refuses_numbers_its_witnesses_cannot_decide():
     assert not is_prime((1 << 64) - 1)
 
 
-def test_euler_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(9) == 6
-    assert euler_phi(21316) == 10512
-
-
-def test_euler_phi_matches_coprime_count():
-    for m in range(1, 200):
-        count = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
-        assert euler_phi(m) == count
-
-
 def test_multiplicative_order_examples():
     assert multiplicative_order(2, 9) == 6
     assert multiplicative_order(7, 1) == 1
@@ -206,6 +194,10 @@ def test_multiplicative_order_matches_naive_oracle():
             if m > 1 and math.gcd(p, m) != 1:
                 continue
             assert multiplicative_order(p, m) == naive_order(p, m)
+    # Powers of 2, whose unit group is not cyclic from 8 on.
+    for k in range(1, 13):
+        for p in range(3, 40, 2):
+            assert multiplicative_order(p, 1 << k) == naive_order(p, 1 << k)
 
 
 def test_multiplicative_order_is_minimal_and_divides_phi():
@@ -220,7 +212,8 @@ def test_multiplicative_order_is_minimal_and_divides_phi():
         assert pow(p, k, m) == 1
         for q, _ in factorize(k):
             assert pow(p, k // q, m) != 1
-        assert euler_phi(m) % k == 0
+        phi = math.prod(q ** (e - 1) * (q - 1) for q, e in naive_factor(m))
+        assert phi % k == 0
         checked += 1
 
 

@@ -6,14 +6,13 @@ import textwrap
 
 import pytest
 
-from ryser.arith import factorize, multiplicative_order
+from ryser.arith import _prime_power_order, factorize, multiplicative_order
 from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CriterionReport,
-                             Verdict, _prime_power_order, _validated_spans,
-                             check_order, iter_sieve, parse_candidate,
-                             theorem_witnesses)
+                             Verdict, _validated_spans, check_order,
+                             iter_sieve, parse_candidate, theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
-from oracles import check_record, naive_factor, naive_order
+from oracles import check_record, is_exact_order, naive_factor, naive_order
 
 
 def test_parse_candidate_examples():
@@ -117,28 +116,30 @@ def test_witness_structure_and_orders_match_naive_oracle():
 
 
 def test_lifted_orders_match_orders_from_factoring_m():
-    # arith.multiplicative_order factors m and phi(m), an independent path.
-    # 1093 and 3511 are the Wieferich primes: 2^(q-1) is 1 mod q^2, so the
-    # order of 2 mod q^2 is not lifted by q. 3^5 is 1 mod 11^2, so the order
-    # of 3 mod 11^(2b) lifts by 11^(2b-2), not 11^(2b-1).
+    # The certificate factors only the stated order and tries one power per
+    # prime of it, a path independent of the lifting kernel. 1093 and 3511
+    # are the Wieferich primes: 2^(q-1) is 1 mod q^2, so the order of 2 mod
+    # q^2 is not lifted by q. 3^5 is 1 mod 11^2, so the order of 3 mod
+    # 11^(2b) lifts by 11^(2b-2), not 11^(2b-1).
     fixed = [1093, 3511, 1093 ** 2, 1093 * 3511, 33, 363, 3993]
     rng = random.Random(18)
     sample = [rng.randrange(1, MAX_SIEVE_BOUND + 1, 2) for _ in range(200)]
     for u in fixed + sample:
         for w in theorem_witnesses(u).witnesses:
-            assert w.order == multiplicative_order(w.p, w.m), (u, w)
+            assert is_exact_order(w.p, w.m, w.order), (u, w)
 
 
 def test_prime_power_order_matches_naive_oracle():
-    for q in (3, 5, 7, 11, 13):
+    for q in (2, 3, 5, 7, 11, 13):
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             if p == q:
                 continue
             for k in range(1, 5):
                 assert (_prime_power_order(p, q, q ** k, factorize(q - 1))
                         == naive_order(p, q ** k)), (p, q, k)
-    # The Wieferich prime 1093: 2^1092 is already 1 mod 1093^2.
+    # The Wieferich primes: 2^(q-1) is already 1 mod q^2.
     assert _prime_power_order(2, 1093, 1093 ** 2, factorize(1092)) == 364
+    assert _prime_power_order(2, 3511, 3511 ** 2, factorize(3510)) == 1755
 
 
 def test_theorem_witnesses_never_factors_a_modulus(monkeypatch):
@@ -168,6 +169,14 @@ def test_theorem_witnesses_takes_the_primes_of_u():
     for u, primes in ((9, ((3, 1),)), (3, ()), (1, ((3, 1),)),
                       (15, ((3, 1), (5, 1), (7, 1)))):
         with pytest.raises(ValueError, match="do not multiply"):
+            theorem_witnesses(u, primes=primes)
+
+
+def test_theorem_witnesses_refuses_pairs_out_of_order():
+    # Each product is u, so only the order and exponent checks catch them.
+    for u, primes in ((15, ((5, 1), (3, 1))), (9, ((3, 1), (3, 1))),
+                      (15, ((3, 1), (5, 1), (7, 0))), (9, ((3, 2), (5, 0)))):
+        with pytest.raises(ValueError, match="strictly ascending"):
             theorem_witnesses(u, primes=primes)
 
 
