@@ -107,6 +107,24 @@ def _sieve_line(u: int, report: CriterionReport, verdict: Verdict,
             f'"witnesses": [{witnesses}]}}')
 
 
+def _json_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:
+    """(u, verdict, JSON line) of one sieve record, made in a sieve worker."""
+    verdict = report.verdict
+    return u, verdict, _sieve_line(u, report, verdict, report.rejection_primes)
+
+
+def _csv_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:
+    """(u, verdict, CSV row) of one sieve record, made in a sieve worker.
+
+    No field holds a comma, quote or line break, so joining them with commas
+    writes the bytes csv.writer would.
+    """
+    verdict = report.verdict
+    primes = ";".join(map(str, report.rejection_primes))
+    witnesses = ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses)
+    return u, verdict, f"{u},{report.n},{verdict.value},{primes},{witnesses}"
+
+
 def _spectrum_dict(report) -> dict:
     return {
         "eigenvalues": [[b.real, b.imag] for b in report.eigenvalues],
@@ -165,9 +183,10 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
             print(f"ryser: invalid RYSER_SIEVE_CAP value {raw_cap!r}",
                   file=sys.stderr)
             return EXIT_USAGE
+    encode = _csv_record if args.format == "csv" else _json_record
     try:
-        reports = iter_sieve(args.u_min, args.u_max, cap=cap,
-                             workers=args.threads)
+        records = iter_sieve(args.u_min, args.u_max, cap=cap,
+                             workers=args.threads, encode=encode)
     except RangeTooLarge as exc:
         print(f"ryser: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -177,38 +196,22 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 
     counts = {Verdict.REJECTED.value: 0, Verdict.NOT_DECIDED.value: 0}
     survivors = []
-    writer = None
     if args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["u", "n", "verdict", "rejection_primes", "witnesses"])
-    for report in reports:
-        u = math.isqrt(report.n // 4)
-        verdict = report.verdict
-        rejection_primes = report.rejection_primes
+        print("u,n,verdict,rejection_primes,witnesses")
+    for u, verdict, line in records:
         counts[verdict.value] += 1
         if verdict is Verdict.NOT_DECIDED:
             survivors.append(u)
-        if writer is not None:
-            writer.writerow([
-                u, report.n, verdict.value,
-                ";".join(map(str, rejection_primes)),
-                ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses),
-            ])
-            sys.stdout.flush()
-        else:
-            print(_sieve_line(u, report, verdict, rejection_primes),
-                  flush=True)
+        print(line, flush=True)
     total = sum(counts.values())
     summary = {"total": total, "counts": counts, "survivors": survivors}
-    if writer is None:
-        print(json.dumps({"summary": summary}))
-    else:
+    if args.format == "csv":
         joined = " ".join(str(u) for u in survivors) or "none"
         print(f"# total {total}; rejected {counts[Verdict.REJECTED.value]}; "
               f"not decided {counts[Verdict.NOT_DECIDED.value]}; "
               f"survivors: {joined}", file=sys.stderr)
+    else:
+        print(json.dumps({"summary": summary}))
     return EXIT_OK
 
 

@@ -16,6 +16,11 @@ theorem_witnesses(u) factors u itself, or takes its primes through the
 primes keyword. The sieve passes them: it factors each span's odd u
 together, in one segmented pass of the odd primes up to the square root of
 the span's end (arith._factor_odd_span), so no u is trial-divided alone.
+It also shares one memo across the span's u, so each order mod a prime
+power, and each factorization of q - 1, is found once per span; the memo
+goes with the span, so it never outgrows one. A caller's encode turns each
+(u, report) into its output record inside the span, in a pool's worker for
+a pooled span, so only finished records travel back to the caller.
 
 The proof is taken from the paper, not checked here. A row's m-compression
 a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
@@ -25,6 +30,7 @@ So no argument from those eigenvalues alone rejects 36 by its m = 9 or
 m = 4 witness: the paper's proof must use more of the row, unverified here.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -113,8 +119,8 @@ def parse_candidate(n: int) -> int:
 
 
 def theorem_witnesses(u: int, *,
-                      primes: tuple[tuple[int, int], ...] | None = None
-                      ) -> CriterionReport:
+                      primes: tuple[tuple[int, int], ...] | None = None,
+                      memo: dict | None = None) -> CriterionReport:
     """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
     u must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays
@@ -129,7 +135,11 @@ def theorem_witnesses(u: int, *,
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, once for each prime q of u, for the order mod q that
-    arith._prime_power_order lifts to q^(2b).
+    arith._prime_power_order lifts to q^(2b). memo, a dict that the caller
+    may share between calls, keeps those factorizations under q and each
+    order mod q^(2b) under (p, q, b), the order mod 4 under (p, 2, 1); the
+    sieve shares one across each span. Every check on u and primes runs
+    whatever memo holds.
     """
     if u < 1 or u % 2 == 0:
         raise ValueError("u must be an odd positive integer")
@@ -144,18 +154,37 @@ def theorem_witnesses(u: int, *,
                          "with exponents of at least 1")
     elif math.prod(q ** b for q, b in primes) != u:
         raise ValueError(f"the pairs {primes} do not multiply to u {u}")
+    if memo is None:
+        memo = {}
     n = 4 * u * u
-    lifts = [(q, q ** (2 * b), factorize(q - 1)) for q, b in primes]
+    # n is 2^2 times the q^(2b) of u, so m = n / p^(2a) is the product of
+    # the prime powers of n other than p's, and the order mod m is the lcm
+    # of the orders mod each of them.
+    powers = ((2, 1),) + primes
     witnesses = []
-    for p, a in ((2, 1),) + primes:
+    for p, a in powers:
+        orders = []
+        for q, b in powers:
+            if q != p:
+                order = memo.get((p, q, b))
+                if order is None:
+                    order = memo[p, q, b] = _pair_order(p, q, b, memo)
+                orders.append(order)
         power = p ** (2 * a)
-        order = math.lcm(*(_prime_power_order(p, q, modulus, split)
-                           for q, modulus, split in lifts if q != p))
-        if p != 2:
-            order = math.lcm(order, multiplicative_order(p, 4))
-        witnesses.append(WitnessRecord(p=p, a=a, m=n // power, order=order,
+        witnesses.append(WitnessRecord(p=p, a=a, m=n // power,
+                                       order=math.lcm(*orders),
                                        j_index=1 + power % n))
     return CriterionReport(n=n, witnesses=tuple(witnesses))
+
+
+def _pair_order(p: int, q: int, b: int, memo: dict) -> int:
+    """Order of p mod q^(2b), q a prime other than p; q = 2 only with b = 1."""
+    if q == 2:
+        return multiplicative_order(p, 4)
+    split = memo.get(q)
+    if split is None:
+        split = memo[q] = factorize(q - 1)
+    return _prime_power_order(p, q, q ** (2 * b), split)
 
 
 def check_order(n: int) -> CriterionReport:
@@ -167,10 +196,17 @@ def check_order(n: int) -> CriterionReport:
     return theorem_witnesses(u)
 
 
-def _sieve_span(span: tuple[int, int]) -> list[CriterionReport]:
+def _sieve_span(span: tuple[int, int], encode: Callable | None = None) -> list:
+    # One memo serves the span's u, at most _SIEVE_SPAN of them, and then
+    # goes, so it stays small and a new span recomputes what it needs.
     lo, hi = span
-    return [theorem_witnesses(u, primes=primes)
-            for u, primes in zip(range(lo, hi, 2), _factor_odd_span(lo, hi))]
+    memo: dict = {}
+    us = range(lo, hi, 2)
+    reports = [theorem_witnesses(u, primes=primes, memo=memo)
+               for u, primes in zip(us, _factor_odd_span(lo, hi))]
+    if encode is None:
+        return reports
+    return list(map(encode, us, reports))
 
 
 def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
@@ -195,7 +231,7 @@ def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
 
 
 def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
-               workers: int = 1) -> Iterator[CriterionReport]:
+               workers: int = 1, encode: Callable | None = None) -> Iterator:
     """Stream one report per odd u in [u_min, u_max] for n = 4u^2, ascending.
 
     Bounds and cap are validated eagerly; the returned iterator only
@@ -206,12 +242,21 @@ def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
     takes the other spans, and they are merged back in order, so the stream
     never depends on scheduling. A range of at most _SIEVE_SPAN candidates
     runs in this process whatever each candidate costs, though the ramp cuts
-    it into several spans too.
+    it into several spans too. Each span shares one memo of orders across
+    its u (see theorem_witnesses).
+
+    With encode, the stream yields encode(u, report) instead of each
+    CriterionReport. encode runs where the span runs, in a worker for a
+    pooled span, so only its results come back to this process; it must
+    pickle, as a module-level function does.
     """
     spans = _validated_spans(u_min, u_max, cap)
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
         workers = 1
-    return itertools.chain.from_iterable(run_spans(_sieve_span, spans, workers))
+    worker = _sieve_span
+    if encode is not None:
+        worker = functools.partial(worker, encode=encode)
+    return itertools.chain.from_iterable(run_spans(worker, spans, workers))
 
 
 def _ignore_sigint() -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ryser.cli import _sieve_line, _witness_dict, main
+from ryser.cli import _csv_record, _sieve_line, _witness_dict, main
 from ryser.criterion import MAX_SIEVE_BOUND, theorem_witnesses
 
 from oracles import naive_mod_pow
@@ -170,6 +170,35 @@ def test_sieve_csv(capsys):
     assert fields[:4] == ["3", "36", "REJECTED", "2;3"]
     assert fields[4] == "2:9:6;3:4:2"
     assert "survivors" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sieve_csv_bytes_are_pinned(capsys, monkeypatch, threads):
+    # bench/refs.json pins only the JSON lines; these digests of the CSV
+    # rows and of the stderr summary were recorded before the rows were
+    # built in the sieve's workers. Up to 4097 two workers start a pool.
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
+    code, out, err = run_cli(capsys, "sieve", "1", "4097", "--format", "csv",
+                             "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f6356d1e75a2d725a2a5a05c33596d1d3443ae9894087792ad1a2df1efe17801")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "c5f2283dab84ef14f6b721d3cfeffbfc4cd732b7b3b90a7ade034fc4b62325be")
+
+
+def test_sieve_csv_row_is_what_csv_writer_writes():
+    import csv
+
+    for u in (1, 73, 15015, MAX_SIEVE_BOUND):
+        report = theorem_witnesses(u)
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\n").writerow([
+            u, report.n, report.verdict.value,
+            ";".join(map(str, report.rejection_primes)),
+            ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses)])
+        assert _csv_record(u, report) == (u, report.verdict,
+                                          sink.getvalue()[:-1]), u
 
 
 def test_sieve_line_is_the_json_of_its_record():

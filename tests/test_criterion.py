@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import pytest
 
 from ryser.arith import _prime_power_order, factorize, multiplicative_order
 from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CriterionReport,
-                             Verdict, _validated_spans, check_order,
-                             iter_sieve, parse_candidate, theorem_witnesses)
+                             Verdict, _sieve_span, _validated_spans,
+                             check_order, iter_sieve, parse_candidate,
+                             theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import check_record, is_exact_order, naive_factor, naive_order
@@ -180,6 +182,60 @@ def test_theorem_witnesses_refuses_pairs_out_of_order():
             theorem_witnesses(u, primes=primes)
 
 
+def test_span_memo_gives_the_reports_of_fresh_calls():
+    # The span holds 3^k for k up to 7 and every 3^k * 5^j below 2189, so
+    # the order of 2 mod 3^(2b) is asked for with several b in one memo; a
+    # key without b would reuse the order mod 3^2 for 3^4 and fail the
+    # certificate.
+    reports = _sieve_span((1, 2189))
+    assert len(reports) == 1094
+    for u, report in zip(range(1, 2189, 2), reports):
+        assert report == theorem_witnesses(u), u
+        for w in report.witnesses:
+            assert is_exact_order(w.p, w.m, w.order), (u, w)
+    # One memo across unrelated u in descending order, so that a lower power
+    # of 3, 5 or 1093 comes after a higher one.
+    memo = {}
+    sample = [3 ** 7, 3 ** 4 * 5 ** 2, 3 ** 2 * 5 ** 3, 5 ** 4, 7 ** 3 * 3,
+              15015, 1093 ** 2, 1093 * 3 ** 2, 1093, 73, 9, 3, 1]
+    for u in sorted(sample, reverse=True):
+        report = theorem_witnesses(u, primes=factorize(u), memo=memo)
+        assert report == theorem_witnesses(u), u
+        for w in report.witnesses:
+            assert is_exact_order(w.p, w.m, w.order), (u, w)
+
+
+def test_span_finds_each_pair_order_once(monkeypatch):
+    factored, ordered = [], []
+
+    def counted_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    def counted_order(p, m):
+        ordered.append(p)
+        return multiplicative_order(p, m)
+
+    monkeypatch.setattr("ryser.criterion.factorize", counted_factorize)
+    monkeypatch.setattr("ryser.criterion.multiplicative_order", counted_order)
+    _sieve_span((1, 2189))
+    assert len(set(factored)) == len(factored) > 300
+    assert len(set(ordered)) == len(ordered) > 300
+
+
+def test_memo_leaves_every_check_on_u_and_its_primes():
+    memo = {}
+    theorem_witnesses(15, primes=((3, 1), (5, 1)), memo=memo)
+    assert memo
+    for u, primes in ((15, ((5, 1), (3, 1))), (15, ((3, 1), (5, 1), (7, 0))),
+                      (9, ((3, 1),)), (15, ((3, 1), (5, 1), (7, 1)))):
+        with pytest.raises(ValueError, match="ascending|do not multiply"):
+            theorem_witnesses(u, primes=primes, memo=memo)
+    for u in (0, 2, MAX_SIEVE_BOUND + 2):
+        with pytest.raises(ValueError):
+            theorem_witnesses(u, memo=memo)
+
+
 def test_sieve_factors_no_u_alone(monkeypatch):
     # The sieve factors each span's u in one pass; factorize sees only the
     # even q - 1 of the order lifts.
@@ -248,6 +304,29 @@ def test_sieve_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
     assert (list(iter_sieve(1, 99, workers=3))
             == list(iter_sieve(1, 99, workers=1)))
+
+
+def _tagged(u, report):
+    # Module level, so that a pool can pickle it.
+    return u, report.n, report.verdict
+
+
+def _pid(u, report):
+    return os.getpid()
+
+
+def test_sieve_encodes_each_record_where_its_span_runs(monkeypatch):
+    monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
+    pooled = list(iter_sieve(1, 99, workers=3, encode=_tagged))
+    assert pooled == [_tagged(u, theorem_witnesses(u))
+                      for u in range(1, 100, 2)]
+    assert pooled == list(iter_sieve(1, 99, workers=1, encode=_tagged))
+    # The first span runs here, every other one in a worker.
+    pids = list(iter_sieve(1, 99, workers=3, encode=_pid))
+    assert pids[0] == os.getpid() not in pids[1:]
+    # Without encode the stream holds the reports themselves.
+    assert all(type(r) is CriterionReport
+               for r in iter_sieve(1, 99, workers=3))
 
 
 @pytest.mark.parametrize("u_min, u_max", [
