@@ -8,11 +8,12 @@ L > 4, no Barker sequence of length L exists; that reduction is background,
 never proven here.
 
 The search grows each sequence from both ends inward and prunes on the
-outer correlations, in one process; numpy is loaded only when there are
-survivors to expand into sign rows.
+outer correlations, in one process, and hands its masks to the circulant
+search's tail, circulant.sorted_rows.
 """
 
-from .circulant import SignRow, expand_masks, sorted_rows
+# expand_masks is unused here; bench/tracing.py looks it up in this module.
+from .circulant import SignRow, expand_masks, sorted_rows  # noqa: F401
 from .criterion import run_spans
 from .errors import IndexOutOfRange, LengthTooLarge
 
@@ -45,40 +46,29 @@ def search_barker(length: int) -> list[SignRow]:
     step that fixes h_k and h_{L-1-k} completes c_{L-1-k}, so a branch is
     cut as soon as that correlation leaves [-1, 1], and the shifts still
     open when the ends meet are tested on the full sequence. Only h_0 = +1
-    is searched; the negations are added back. The survivors are expanded
-    into sign rows, confirmed by is_barker and sorted lexicographically
-    (+1 before -1), as in the circulant search. The whole tree takes
+    is searched; circulant.sorted_rows adds the negations and keeps the rows
+    that is_barker confirms, sorted with +1 before -1. The whole tree takes
     milliseconds at the guard, so it runs in this process.
     """
     if not 1 <= length <= MAX_SEARCH_LENGTH:
         raise LengthTooLarge(f"length {length} outside [1, {MAX_SEARCH_LENGTH}]")
-    # One task on no pool; bench/tracing.py times the search stages where
-    # this module looks up run_spans and expand_masks.
-    return sorted_rows(run_spans(_grow_inward, [length], 1), is_barker)
+    # One task on no pool; bench/tracing.py times the walk where this module
+    # looks up run_spans.
+    return sorted_rows(run_spans(_grow, [length], 1), length, is_barker)
 
 
-def _grow_inward(length: int) -> list[list[int]]:
-    found = []
-    _grow(0, 0, length, found)
-    if not found:
-        return []
-    import numpy as np
-
-    full = (1 << length) - 1
-    masks = found + [mask ^ full for mask in found]
-    return expand_masks(np.array(masks, dtype=np.uint64), length).tolist()
-
-
-def _grow(mask: int, k: int, length: int, found: list[int]) -> None:
+def _grow(length: int, mask: int = 0, k: int = 0,
+          found: list[int] | None = None) -> list[int]:
     # Bit i of mask set means h_i = -1. Bits 0..k-1 and length-k..length-1
     # are fixed; this step fixes bits k and j = length-1-k, which completes
     # c_j. Once the ends have met, the shifts 1..j are still to be tested.
+    found = [] if found is None else found
     j = length - 1 - k
     if j < k:
         if all(abs(_mask_apaf(mask, s, length)) <= _PRUNE_BOUND
                for s in range(j, 0, -1)):
             found.append(mask)
-        return
+        return found
     if k == 0:
         steps = (0, 1 << j) if j else (0,)  # h_0 = +1
     elif j == k:
@@ -87,7 +77,8 @@ def _grow(mask: int, k: int, length: int, found: list[int]) -> None:
         steps = (0, 1 << k, 1 << j, 1 << k | 1 << j)
     for step in steps:
         if abs(_mask_apaf(mask | step, j, length)) <= _PRUNE_BOUND:
-            _grow(mask | step, k + 1, length, found)
+            _grow(length, mask | step, k + 1, found)
+    return found
 
 
 def _mask_apaf(mask: int, k: int, length: int) -> int:

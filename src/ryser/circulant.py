@@ -7,9 +7,9 @@ Hadamard test is exact integer autocorrelation; the floating spectrum is a
 cross-check only and never decides a verdict. The exhaustive search first
 settles every order where no row can exist (n not a square, or n > 1 not
 divisible by 4), then walks the sign masks of row sum +sqrt(n) as Python
-ints in one process and adds their negations. numpy is imported by the
-functions that compute with it, so importing this module or searching an
-order with no row does not load it.
+ints in one process; sorted_rows, the tail of both searches, adds their
+negations. numpy is imported by the functions that compute with it, so
+importing this module or searching an order with no row does not load it.
 """
 
 from __future__ import annotations
@@ -125,32 +125,27 @@ def search_all(n: int) -> list[SignRow]:
     i is 1, so d_k is even, PAF_k = n (mod 4) and no shift reaches 0 unless
     4 divides n. For the orders left, only the masks with
     c = (n - sqrt(n)) / 2 bits set (bit i is h_{i+1}, 0 meaning +1) are
-    walked and pruned on each autocorrelation shift. Their survivors and
-    negations (the -sqrt(n) class) are confirmed by is_circulant_hadamard
-    and sorted with +1 before -1, in this process.
+    walked and pruned on each autocorrelation shift, in this process, and
+    sorted_rows adds their negations (the -sqrt(n) class), keeps the rows
+    is_circulant_hadamard confirms and sorts them with +1 before -1.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
     if math.isqrt(n) ** 2 != n or (n > 1 and n % 4):
         return []
     # One task, no pool: bench/tracing.py wraps run_spans and expand_masks.
-    return sorted_rows(run_spans(_search_class, [n], 1), is_circulant_hadamard)
+    return sorted_rows(run_spans(_search_class, [n], 1), n,
+                       is_circulant_hadamard)
 
 
-def _search_class(n: int) -> list[list[int]]:
+def _search_class(n: int) -> list[int]:
     found = []
     for flipped in itertools.combinations(range(n), (n - math.isqrt(n)) // 2):
         mask = sum(1 << i for i in flipped)
         # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
         if all(_mask_paf(mask, k, n) == 0 for k in range(1, n // 2 + 1)):
             found.append(mask)
-    if not found:
-        return []
-    import numpy as np
-
-    full = (1 << n) - 1
-    masks = found + [mask ^ full for mask in found]
-    return expand_masks(np.array(masks, dtype=np.uint64), n).tolist()
+    return found
 
 
 def _mask_paf(mask: int, k: int, n: int) -> int:
@@ -168,8 +163,18 @@ def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def sorted_rows(found: Iterable[list[list[int]]],
+def sorted_rows(found: Iterable[list[int]], n: int,
                 confirm: Callable[[SignRow], bool]) -> list[SignRow]:
-    """The rows of every task that pass confirm, sorted with +1 before -1."""
-    rows = (SignRow(entries) for task in found for entries in task)
-    return sorted(filter(confirm, rows), key=SignRow.literal)
+    """Rows that pass confirm, sorted with +1 before -1, from the masks of
+    each task (one sign class, bit i is h_{i+1}, 0 meaning +1) and their
+    negations. numpy is loaded only when some task found a mask.
+    """
+    masks = [mask for task in found for mask in task]
+    if not masks:
+        return []
+    import numpy as np
+
+    full = (1 << n) - 1
+    masks += [mask ^ full for mask in masks]
+    signs = expand_masks(np.array(masks, dtype=np.uint64), n).tolist()
+    return sorted(filter(confirm, map(SignRow, signs)), key=SignRow.literal)

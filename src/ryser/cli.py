@@ -91,26 +91,22 @@ def _report_dict(report: CriterionReport) -> dict:
     }
 
 
-def _sieve_line(u: int, report: CriterionReport, verdict: Verdict,
-                rejection_primes: tuple[int, ...]) -> str:
-    """One sieve record as JSON, the text json.dumps gives its dict.
+def _json_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:
+    """(u, verdict, JSON line) of one sieve record, made in a sieve worker.
 
-    Every field is an int or a fixed ASCII word, so plain formatting with
-    json.dumps's default separators writes the same bytes, faster.
+    The line is the text json.dumps gives the record's dict. Every field is
+    an int or a fixed ASCII word, so plain formatting with json.dumps's
+    default separators writes the same bytes, faster.
     """
+    verdict = report.verdict
+    primes = ", ".join(map(str, report.rejection_primes))
     witnesses = ", ".join(
         f'{{"p": {w.p}, "a": {w.a}, "m": {w.m}, "order": {w.order}, '
         f'"parity": "{w.parity}", "j_index": {w.j_index}}}'
         for w in report.witnesses)
-    return (f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
-            f'"rejection_primes": [{", ".join(map(str, rejection_primes))}], '
-            f'"witnesses": [{witnesses}]}}')
-
-
-def _json_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:
-    """(u, verdict, JSON line) of one sieve record, made in a sieve worker."""
-    verdict = report.verdict
-    return u, verdict, _sieve_line(u, report, verdict, report.rejection_primes)
+    return u, verdict, (
+        f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
+        f'"rejection_primes": [{primes}], "witnesses": [{witnesses}]}}')
 
 
 def _csv_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:

@@ -33,9 +33,10 @@ m = 4 witness: the paper's proof must use more of the row, unverified here.
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 
 from .arith import (MAX_INPUT, _factor_odd_span, _prime_power_order, factorize,
@@ -119,19 +120,19 @@ def parse_candidate(n: int) -> int:
 
 
 def theorem_witnesses(u: int, *,
-                      primes: tuple[tuple[int, int], ...] | None = None,
+                      primes: Iterable[tuple[int, int]] | None = None,
                       memo: dict | None = None) -> CriterionReport:
     """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
     u must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays
     below 2^63; other u raise ValueError. The primes of n are 2 and those of
-    u: primes, as factorize(u) returns them, or factorize(u) itself when
-    primes is None. Pairs not strictly ascending, with an exponent below 1
-    or a product other than u raise ValueError; their primes are trusted to
-    be prime, as the sieve's segmented pass proves them. For
-    p = 2 the modulus is u^2; for an odd prime p with p^a exactly dividing u
-    it is n / p^(2a). Coprimality of p and its modulus is structural, so
-    every order is defined.
+    u: primes, any sequence of the pairs factorize(u) returns, or
+    factorize(u) itself when primes is None. Pairs not strictly ascending,
+    with an exponent below 1 or a product other than u raise ValueError;
+    their primes are trusted to be prime, as the sieve's segmented pass
+    proves them. For p = 2 the modulus is u^2; for an odd prime p with p^a
+    exactly dividing u it is n / p^(2a). Coprimality of p and its modulus
+    is structural, so every order is defined.
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, once for each prime q of u, for the order mod q that
@@ -139,20 +140,20 @@ def theorem_witnesses(u: int, *,
     may share between calls, keeps those factorizations under q and each
     order mod q^(2b) under (p, q, b), the order mod 4 under (p, 2, 1); the
     sieve shares one across each span. Every check on u and primes runs
-    whatever memo holds.
+    whatever memo holds, but its entries are trusted: a memo must come
+    empty or from earlier calls, since a wrong order in it is reported.
     """
     if u < 1 or u % 2 == 0:
         raise ValueError("u must be an odd positive integer")
     if u > MAX_SIEVE_BOUND:
         raise ValueError(f"u {u} exceeds {MAX_SIEVE_BOUND}, the largest u "
                          "with n = 4u^2 below 2^63")
-    if primes is None:
-        primes = factorize(u)
-    elif (any(b < 1 for _, b in primes)
-          or any(q >= r for (q, _), (r, _) in itertools.pairwise(primes))):
+    primes = factorize(u) if primes is None else tuple(primes)
+    if (any(b < 1 for _, b in primes)
+            or any(q >= r for (q, _), (r, _) in itertools.pairwise(primes))):
         raise ValueError(f"the pairs {primes} are not strictly ascending "
                          "with exponents of at least 1")
-    elif math.prod(q ** b for q, b in primes) != u:
+    if math.prod(q ** b for q, b in primes) != u:
         raise ValueError(f"the pairs {primes} do not multiply to u {u}")
     if memo is None:
         memo = {}
@@ -210,6 +211,7 @@ def _sieve_span(span: tuple[int, int], encode: Callable | None = None) -> list:
 
 
 def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
+    u_min, u_max = operator.index(u_min), operator.index(u_max)
     for name, value in (("u_min", u_min), ("u_max", u_max)):
         if value < 1 or value % 2 == 0:
             raise ValueError(f"{name} must be an odd positive integer, got {value}")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ryser import barker
+from ryser import barker, circulant
 from ryser.barker import (MAX_SEARCH_LENGTH, aperiodic_autocorrelation,
                           is_barker, search_barker)
 from ryser.circulant import SignRow
@@ -63,16 +63,17 @@ def test_mask_apaf_on_integers_matches_oracle():
 
 def test_search_barker_confirmation_stage_decides_alone(monkeypatch):
     # A bound no correlation can exceed keeps every branch, so all 2^L
-    # sequences reach the expansion and is_barker alone decides.
+    # sequences reach the expansion in the searches' shared tail and
+    # is_barker alone decides.
     expanded = []
-    original = barker.expand_masks
+    original = circulant.expand_masks
 
     def expand_masks(masks, length):
         expanded.append(len(masks))
         return original(masks, length)
 
     monkeypatch.setattr(barker, "_PRUNE_BOUND", MAX_SEARCH_LENGTH)
-    monkeypatch.setattr(barker, "expand_masks", expand_masks)
+    monkeypatch.setattr(circulant, "expand_masks", expand_masks)
     for length in range(1, 13):
         expected = naive_barker_solutions(length)
         assert [row.entries for row in search_barker(length)] == expected

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ryser.cli import _csv_record, _sieve_line, _witness_dict, main
+from ryser.cli import _csv_record, _json_record, _witness_dict, main
 from ryser.criterion import MAX_SIEVE_BOUND, theorem_witnesses
 
 from oracles import naive_mod_pow
@@ -213,8 +213,8 @@ def test_sieve_line_is_the_json_of_its_record():
             "rejection_primes": list(report.rejection_primes),
             "witnesses": [_witness_dict(w) for w in report.witnesses],
         }
-        line = _sieve_line(u, report, report.verdict, report.rejection_primes)
-        assert line == json.dumps(record), u
+        assert _json_record(u, report) == (u, report.verdict,
+                                           json.dumps(record)), u
     assert len(theorem_witnesses(15015).rejection_primes) == 6
 
 
@@ -381,6 +381,24 @@ def test_search_output_matches_the_benchmark_references(capsys):
     assert_matches_the_benchmark_references(
         capsys, ("search", "circulant", "4"), ("search", "circulant", "25"),
         ("search", "barker", "13"), ("search", "barker", "24"))
+
+
+@pytest.mark.parametrize("kind, top, digest", [
+    ("circulant", 28,
+     "56c2bef9404c2faeac217d9acea0f0d16371d8d56252425f227bcdd29ffc4c6a"),
+    ("barker", 24,
+     "df91b84452c3621abab5e1daa5b9da9cfc0d11fc2afe51639566bf5046f11ab8"),
+])
+def test_every_search_prints_its_pinned_bytes(capsys, kind, top, digest):
+    # The digest of the stdout of `search KIND n` for n = 1 .. top, joined
+    # in order, recorded before both searches ended in one shared tail;
+    # bench/refs.json pins only four of these sizes.
+    out = ""
+    for n in range(1, top + 1):
+        code, text, _ = run_cli(capsys, "search", kind, str(n))
+        assert code == 0, n
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sieve_output_matches_the_benchmark_references(capsys):

@@ -168,6 +168,10 @@ def test_theorem_witnesses_takes_the_primes_of_u():
     sample = [rng.randrange(1, MAX_SIEVE_BOUND + 1, 2) for _ in range(50)]
     for u in [1, 3, 73, 3 ** 7, 15015, 1093 ** 2, MAX_SIEVE_BOUND] + sample:
         assert theorem_witnesses(u, primes=factorize(u)) == theorem_witnesses(u)
+    # Any sequence of pairs will do, a list as well as a tuple.
+    assert theorem_witnesses(9, primes=[(3, 2)]) == theorem_witnesses(9)
+    assert (theorem_witnesses(15015, primes=list(factorize(15015)))
+            == theorem_witnesses(15015))
     for u, primes in ((9, ((3, 1),)), (3, ()), (1, ((3, 1),)),
                       (15, ((3, 1), (5, 1), (7, 1)))):
         with pytest.raises(ValueError, match="do not multiply"):
@@ -384,6 +388,14 @@ def test_sieve_validates_bounds():
     # Validation happens at the call, before any report is computed.
     for bad in [(2, 10), (3, 1), (0, 9), (1, 8)]:
         with pytest.raises(ValueError):
+            iter_sieve(*bad)
+
+
+def test_sieve_refuses_float_bounds_at_the_call():
+    # A float passes every range check, so the call must refuse it as an
+    # integer bound before any report is computed, as factorize does.
+    for bad in [(1.0, 9), (1, 9.0)]:
+        with pytest.raises(TypeError):
             iter_sieve(*bad)
 
 
