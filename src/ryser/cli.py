@@ -19,8 +19,8 @@ from .arith import MAX_INPUT
 from .barker import search_barker
 from .circulant import (SignRow, is_circulant_hadamard,
                         periodic_autocorrelation, search_all, spectrum)
-from .criterion import (DEFAULT_SIEVE_CAP, MAX_SIEVE_BOUND, CriterionReport,
-                        Verdict, WitnessRecord, check_order, iter_sieve)
+from .criterion import (CriterionReport, Verdict, WitnessRecord, check_order,
+                        iter_sieve)
 from .errors import LengthTooLarge, OrderTooLarge, RangeTooLarge
 
 SCHEMA_VERSION = "1"
@@ -63,9 +63,6 @@ def _bounded_int(low: int, high: float, message: str) -> Callable[[str], int]:
 
 _order_arg = _bounded_int(1, MAX_INPUT - 1,
                           "n must be a positive integer below 2^63")
-_sieve_bound_arg = _bounded_int(
-    1, MAX_SIEVE_BOUND,
-    f"bound must keep n = 4u^2 below 2^63 (1 <= u <= {MAX_SIEVE_BOUND})")
 _positive_arg = _bounded_int(1, math.inf, "must be a positive integer")
 
 
@@ -170,19 +167,10 @@ def _cmd_verify_row(args: argparse.Namespace) -> int:
 def _cmd_sieve(args: argparse.Namespace) -> int:
     import json
 
-    cap = DEFAULT_SIEVE_CAP
-    raw_cap = os.environ.get("RYSER_SIEVE_CAP")
-    if raw_cap is not None:
-        try:
-            cap = _positive_arg(raw_cap)
-        except argparse.ArgumentTypeError:
-            print(f"ryser: invalid RYSER_SIEVE_CAP value {raw_cap!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
     encode = _csv_record if args.format == "csv" else _json_record
     try:
-        records = iter_sieve(args.u_min, args.u_max, cap=cap,
-                             workers=args.threads, encode=encode)
+        records = iter_sieve(args.u_min, args.u_max, workers=args.threads,
+                             encode=encode)
     except RangeTooLarge as exc:
         print(f"ryser: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -241,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sieve = sub.add_parser(
         "sieve", help="criterion reports for n = 4u^2 over a range of odd u")
-    p_sieve.add_argument("u_min", type=_sieve_bound_arg)
-    p_sieve.add_argument("u_max", type=_sieve_bound_arg)
+    p_sieve.add_argument("u_min", type=_decimal_int)
+    p_sieve.add_argument("u_max", type=_decimal_int)
     p_sieve.add_argument("--format", choices=("json-lines", "csv"),
                          default="json-lines")
     p_sieve.add_argument("--threads", type=_positive_arg, default=None,

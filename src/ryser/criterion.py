@@ -8,9 +8,10 @@ certifies rejection; survivors are undecided, never confirmed.
 
 No modulus m is factored. Each order is an lcm of orders modulo the prime
 powers of m: 4 for odd p, and q^(2b) for each other prime q with q^b || u,
-the order mod q lifted to q^(2b) by arith._prime_power_order. An explicit
-check keeps u at most MAX_SIEVE_BOUND, where n = 4u^2 is still below 2^63,
-since no factorization of m stops a larger u.
+the order mod q lifted to q^(2b) by arith._prime_power_order. One guard,
+_checked_u, keeps each u of theorem_witnesses and each bound of the sieve
+at most MAX_SIEVE_BOUND, where n = 4u^2 is still below 2^63, since no
+factorization of m stops a larger u.
 
 theorem_witnesses(u) factors u itself, or takes its primes through the
 primes keyword. The sieve passes them: it factors each span's odd u
@@ -43,6 +44,7 @@ from .arith import (MAX_INPUT, _factor_odd_span, _prime_power_order, factorize,
                     multiplicative_order)
 from .errors import NotCandidateForm, RangeTooLarge
 
+# Most candidates one sieve takes; a longer range raises RangeTooLarge.
 DEFAULT_SIEVE_CAP = 10 ** 7
 
 # Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
@@ -119,13 +121,25 @@ def parse_candidate(n: int) -> int:
     return root
 
 
+def _checked_u(name: str, u: int) -> int:
+    """u as an int, if it is odd, positive and at most MAX_SIEVE_BOUND."""
+    u = operator.index(u)
+    if u < 1 or u % 2 == 0:
+        raise ValueError(f"{name} must be an odd positive integer, got {u}")
+    if u > MAX_SIEVE_BOUND:
+        raise ValueError(f"{name} {u} exceeds {MAX_SIEVE_BOUND}, the largest "
+                         "u with n = 4u^2 below 2^63")
+    return u
+
+
 def theorem_witnesses(u: int, *,
                       primes: Iterable[tuple[int, int]] | None = None,
                       memo: dict | None = None) -> CriterionReport:
     """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
-    u must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays
-    below 2^63; other u raise ValueError. The primes of n are 2 and those of
+    u may be of any integer type, never a float, which raises TypeError. It
+    must be odd, positive and at most MAX_SIEVE_BOUND, so that n stays below
+    2^63; other u raise ValueError. The primes of n are 2 and those of
     u: primes, any sequence of the pairs factorize(u) returns, or
     factorize(u) itself when primes is None. Pairs not strictly ascending,
     with an exponent below 1 or a product other than u raise ValueError;
@@ -143,11 +157,7 @@ def theorem_witnesses(u: int, *,
     whatever memo holds, but its entries are trusted: a memo must come
     empty or from earlier calls, since a wrong order in it is reported.
     """
-    if u < 1 or u % 2 == 0:
-        raise ValueError("u must be an odd positive integer")
-    if u > MAX_SIEVE_BOUND:
-        raise ValueError(f"u {u} exceeds {MAX_SIEVE_BOUND}, the largest u "
-                         "with n = 4u^2 below 2^63")
+    u = _checked_u("u", u)
     primes = factorize(u) if primes is None else tuple(primes)
     if (any(b < 1 for _, b in primes)
             or any(q >= r for (q, _), (r, _) in itertools.pairwise(primes))):
@@ -210,19 +220,15 @@ def _sieve_span(span: tuple[int, int], encode: Callable | None = None) -> list:
     return list(map(encode, us, reports))
 
 
-def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
-    u_min, u_max = operator.index(u_min), operator.index(u_max)
-    for name, value in (("u_min", u_min), ("u_max", u_max)):
-        if value < 1 or value % 2 == 0:
-            raise ValueError(f"{name} must be an odd positive integer, got {value}")
+def _validated_spans(u_min: int, u_max: int) -> list[tuple[int, int]]:
+    u_max = _checked_u("u_max", u_max)
+    u_min = _checked_u("u_min", u_min)
     if u_min > u_max:
         raise ValueError(f"u_min {u_min} exceeds u_max {u_max}")
-    if u_max > MAX_SIEVE_BOUND:
-        raise ValueError(f"u_max {u_max} exceeds {MAX_SIEVE_BOUND}, the "
-                         "largest u with n = 4u^2 below 2^63")
     count = (u_max - u_min) // 2 + 1
-    if count > cap:
-        raise RangeTooLarge(f"{count} candidates exceed the sieve cap of {cap}")
+    if count > DEFAULT_SIEVE_CAP:
+        raise RangeTooLarge(f"{count} candidates exceed the sieve cap of "
+                            f"{DEFAULT_SIEVE_CAP}")
     spans = []
     lo, size = u_min, 1
     while lo <= u_max:
@@ -232,27 +238,28 @@ def _validated_spans(u_min: int, u_max: int, cap: int) -> list[tuple[int, int]]:
     return spans
 
 
-def iter_sieve(u_min: int, u_max: int, *, cap: int = DEFAULT_SIEVE_CAP,
-               workers: int = 1, encode: Callable | None = None) -> Iterator:
+def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
+               encode: Callable | None = None) -> Iterator:
     """Stream one report per odd u in [u_min, u_max] for n = 4u^2, ascending.
 
-    Bounds and cap are validated eagerly; the returned iterator only
-    computes. The range is cut into spans of 1, 2, 4, ... candidates, up to
-    _SIEVE_SPAN, so the first report needs only the first candidate. The
-    first span always runs in this process. With several workers and more
-    than _SIEVE_SPAN candidates a pool, started only after the first report,
-    takes the other spans, and they are merged back in order, so the stream
-    never depends on scheduling. A range of at most _SIEVE_SPAN candidates
-    runs in this process whatever each candidate costs, though the ramp cuts
-    it into several spans too. Each span shares one memo of orders across
-    its u (see theorem_witnesses).
+    The bounds, checked as theorem_witnesses checks u, and the cap of
+    DEFAULT_SIEVE_CAP candidates are validated eagerly; the returned
+    iterator only computes. The range is cut into spans of 1, 2, 4, ...
+    candidates, up to _SIEVE_SPAN, so the first report needs only the first
+    candidate. The first span always runs in this process. With several
+    workers and more than _SIEVE_SPAN candidates a pool, started only after
+    the first report, takes the other spans, and they are merged back in
+    order, so the stream never depends on scheduling. A range of at most
+    _SIEVE_SPAN candidates runs in this process whatever each candidate
+    costs, though the ramp cuts it into several spans too. Each span shares
+    one memo of orders across its u (see theorem_witnesses).
 
     With encode, the stream yields encode(u, report) instead of each
     CriterionReport. encode runs where the span runs, in a worker for a
     pooled span, so only its results come back to this process; it must
     pickle, as a module-level function does.
     """
-    spans = _validated_spans(u_min, u_max, cap)
+    spans = _validated_spans(u_min, u_max)
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
         workers = 1
     worker = _sieve_span
@@ -285,15 +292,14 @@ def __getattr__(name: str):
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
-    With two or more workers and more than two tasks, which only iter_sieve
-    asks for (the searches pass one task), the first task still runs in this
-    process, so its result never waits for the pool. Only then are the pool
-    and signal modules imported and a pool started for the other tasks; a
-    single task left over would gain nothing from one. Tasks go one per
-    message, so callers size them; closing the iterator early tears the
-    pool down.
+    With two or more workers, which only iter_sieve asks for and then with
+    at least two tasks (the searches pass one task and one worker), the
+    first task still runs in this process, so its result never waits for
+    the pool. Only then are the pool and signal modules imported and a pool
+    started for the other tasks. Tasks go one per message, so callers size
+    them; closing the iterator early tears the pool down.
     """
-    if workers <= 1 or len(tasks) <= 2:
+    if workers <= 1:
         yield from map(worker, tasks)
         return
     yield worker(tasks[0])

@@ -153,10 +153,21 @@ def test_sieve_single_record(capsys):
 def test_sieve_even_bound_rejected(capsys):
     for argv in (("2", "10"), ("1", "3_1"), ("\uff11", "31"),
                  ("1", "31", "--threads", "1_0"),
-                 ("1", "31", "--threads", " 2")):
+                 ("1", "31", "--threads", " 2"),
+                 ("1", "1518500251"), ("1518500251", "1518500251")):
         code, out, err = run_cli(capsys, "sieve", *argv)
         assert code == 2, argv
         assert err and not out
+
+
+@pytest.mark.parametrize("u_min", ["1", "1518500251"])
+def test_sieve_bound_above_the_ceiling_is_one_line(capsys, u_min):
+    # The sieve refuses the bound itself, as it does an even one, so no
+    # usage text comes with it; u_max is checked first.
+    code, out, err = run_cli(capsys, "sieve", u_min, "1518500251")
+    assert code == 2 and not out
+    assert err == (f"ryser: u_max 1518500251 exceeds {MAX_SIEVE_BOUND}, the "
+                   "largest u with n = 4u^2 below 2^63\n")
 
 
 def test_sieve_csv(capsys):
@@ -241,17 +252,23 @@ def test_sieve_flushes_every_record(monkeypatch, fmt, first):
     assert set(records) <= set(stdout.flushed_at), stdout.flushed_at
 
 
-def test_sieve_cap_via_environment(capsys, monkeypatch):
-    monkeypatch.setenv("RYSER_SIEVE_CAP", "10")
-    code, out, err = run_cli(capsys, "sieve", "1", "99")
-    assert code == 4
-    assert err
+def test_sieve_cap_exits_4_before_any_record(capsys):
+    # 10^7 + 1 candidates: the cap trips at the call, so nothing is printed.
+    code, out, err = run_cli(capsys, "sieve", "1", "20000001")
+    assert code == 4 and not out
+    assert err == ("ryser: 10000001 candidates exceed the sieve cap of "
+                   "10000000\n")
 
-    for bad in ["xyz", "0", "-5", "1_0", " 10", "\uff11\uff10"]:
-        monkeypatch.setenv("RYSER_SIEVE_CAP", bad)
-        code, out, err = run_cli(capsys, "sieve", "1", "9")
-        assert code == 2
-        assert "invalid RYSER_SIEVE_CAP value" in err
+
+@pytest.mark.parametrize("value", ["10", "xyz"])
+def test_sieve_cap_is_no_setting(capsys, monkeypatch, value):
+    # The cap is a constant; no environment variable changes it.
+    monkeypatch.setenv("RYSER_SIEVE_CAP", value)
+    code, out, err = run_cli(capsys, "sieve", "1", "99")
+    assert code == 0
+    *records, summary = map(json.loads, out.splitlines())
+    assert [r["u"] for r in records] == list(range(1, 100, 2))
+    assert summary["summary"]["total"] == 50
 
 
 def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):

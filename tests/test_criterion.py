@@ -8,10 +8,10 @@ import textwrap
 import pytest
 
 from ryser.arith import _prime_power_order, factorize, multiplicative_order
-from ryser.criterion import (_SIEVE_SPAN, MAX_SIEVE_BOUND, CriterionReport,
-                             Verdict, _sieve_span, _validated_spans,
-                             check_order, iter_sieve, parse_candidate,
-                             theorem_witnesses)
+from ryser.criterion import (_SIEVE_SPAN, DEFAULT_SIEVE_CAP, MAX_SIEVE_BOUND,
+                             CriterionReport, Verdict, _sieve_span,
+                             _validated_spans, check_order, iter_sieve,
+                             parse_candidate, theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import check_record, is_exact_order, naive_factor, naive_order
@@ -52,8 +52,8 @@ def test_parse_candidate_accepts_exactly_odd_square_quotients():
 
 def test_theorem_witnesses_takes_odd_positive_u():
     for u in (0, 2, -3):
-        with pytest.raises(ValueError,
-                           match="^u must be an odd positive integer$"):
+        message = f"^u must be an odd positive integer, got {u}$"
+        with pytest.raises(ValueError, match=message):
             theorem_witnesses(u)
     # The two records of a verdict keep the same contract.
     check_record(lambda: check_order(196))
@@ -338,7 +338,7 @@ def test_sieve_encodes_each_record_where_its_span_runs(monkeypatch):
     (MAX_SIEVE_BOUND - 2 * 2999, MAX_SIEVE_BOUND),
 ], ids=["1", "2", "1023", "1024", "1025", "10001", "ceiling"])
 def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
-    spans = _validated_spans(u_min, u_max, 10 ** 7)
+    spans = _validated_spans(u_min, u_max)
     assert spans[0][0] == u_min and spans[-1][1] == u_max + 1
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     assert ([u for lo, hi in spans for u in range(lo, hi, 2)]
@@ -393,10 +393,15 @@ def test_sieve_validates_bounds():
 
 def test_sieve_refuses_float_bounds_at_the_call():
     # A float passes every range check, so the call must refuse it as an
-    # integer bound before any report is computed, as factorize does.
+    # integer bound before any report is computed, as factorize does. The
+    # same guard checks theorem_witnesses's u, which with its primes given
+    # would otherwise pass every check and give float n, m and j_index.
     for bad in [(1.0, 9), (1, 9.0)]:
         with pytest.raises(TypeError):
             iter_sieve(*bad)
+    for primes in (((3, 2),), None):
+        with pytest.raises(TypeError):
+            theorem_witnesses(9.0, primes=primes)
 
 
 def test_sieve_bound_ceiling():
@@ -410,7 +415,12 @@ def test_sieve_bound_ceiling():
             iter_sieve(*bad)
 
 
-def test_sieve_cap():
-    with pytest.raises(RangeTooLarge):
-        iter_sieve(1, 99, cap=10)
-    assert len(list(iter_sieve(1, 99, cap=50))) == 50
+def test_sieve_cap_refuses_a_longer_range_at_the_call():
+    with pytest.raises(RangeTooLarge, match=f"of {DEFAULT_SIEVE_CAP}$"):
+        iter_sieve(1, 2 * DEFAULT_SIEVE_CAP + 1)
+
+
+def test_sieve_cap_admits_a_range_of_exactly_the_cap():
+    # The cap's 10^7 candidates are checked, not computed: only the first
+    # report is drawn.
+    assert next(iter_sieve(1, 2 * DEFAULT_SIEVE_CAP - 1)).n == 4
