@@ -9,6 +9,7 @@ and 141 when the reader of stdout goes away.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -88,34 +89,61 @@ def _report_dict(report: CriterionReport) -> dict:
     }
 
 
-def _json_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:
-    """(u, verdict, JSON line) of one sieve record, made in a sieve worker.
+def _json_record(u: int, report: CriterionReport) -> tuple[str, bool]:
+    """(JSON line, whether u survives) of one sieve record.
 
     The line is the text json.dumps gives the record's dict. Every field is
     an int or a fixed ASCII word, so plain formatting with json.dumps's
-    default separators writes the same bytes, faster.
+    default separators writes the same bytes, faster. Each witness's parity
+    is read once: a sieve record always holds the witness of 2, so it is
+    NOT_DECIDED exactly when no parity is even.
     """
-    verdict = report.verdict
-    primes = ", ".join(map(str, report.rejection_primes))
-    witnesses = ", ".join(
-        f'{{"p": {w.p}, "a": {w.a}, "m": {w.m}, "order": {w.order}, '
-        f'"parity": "{w.parity}", "j_index": {w.j_index}}}'
-        for w in report.witnesses)
-    return u, verdict, (
-        f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
-        f'"rejection_primes": [{primes}], "witnesses": [{witnesses}]}}')
+    primes, witnesses = [], []
+    for w in report.witnesses:
+        parity = w.parity
+        if parity == "even":
+            primes.append(str(w.p))
+        witnesses.append(
+            f'{{"p": {w.p}, "a": {w.a}, "m": {w.m}, "order": {w.order}, '
+            f'"parity": "{parity}", "j_index": {w.j_index}}}')
+    verdict = Verdict.REJECTED if primes else Verdict.NOT_DECIDED
+    return (f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
+            f'"rejection_primes": [{", ".join(primes)}], '
+            f'"witnesses": [{", ".join(witnesses)}]}}'), not primes
 
 
-def _csv_record(u: int, report: CriterionReport) -> tuple[int, Verdict, str]:
-    """(u, verdict, CSV row) of one sieve record, made in a sieve worker.
+def _csv_record(u: int, report: CriterionReport) -> tuple[str, bool]:
+    """(CSV row, whether u survives) of one sieve record.
 
     No field holds a comma, quote or line break, so joining them with commas
-    writes the bytes csv.writer would.
+    writes the bytes csv.writer would. Each witness's parity is read once,
+    as in _json_record.
     """
-    verdict = report.verdict
-    primes = ";".join(map(str, report.rejection_primes))
-    witnesses = ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses)
-    return u, verdict, f"{u},{report.n},{verdict.value},{primes},{witnesses}"
+    primes, witnesses = [], []
+    for w in report.witnesses:
+        if w.parity == "even":
+            primes.append(str(w.p))
+        witnesses.append(f"{w.p}:{w.m}:{w.order}")
+    verdict = Verdict.REJECTED if primes else Verdict.NOT_DECIDED
+    return (f"{u},{report.n},{verdict.value},{';'.join(primes)},"
+            f"{';'.join(witnesses)}"), not primes
+
+
+def _sieve_block(record: Callable, us: range,
+                 reports: list) -> tuple[str, list[int]]:
+    """(text, survivors) of one sieve span, made where the span runs.
+
+    text is the record(u, report) line of each u, each ended by a newline;
+    survivors are the span's NOT_DECIDED u.
+    """
+    lines, survivors = [], []
+    for u, report in zip(us, reports):
+        line, survives = record(u, report)
+        lines.append(line)
+        if survives:
+            survivors.append(u)
+    lines.append("")
+    return "\n".join(lines), survivors
 
 
 def _spectrum_dict(report) -> dict:
@@ -167,10 +195,10 @@ def _cmd_verify_row(args: argparse.Namespace) -> int:
 def _cmd_sieve(args: argparse.Namespace) -> int:
     import json
 
-    encode = _csv_record if args.format == "csv" else _json_record
+    record = _csv_record if args.format == "csv" else _json_record
     try:
-        records = iter_sieve(args.u_min, args.u_max, workers=args.threads,
-                             encode=encode)
+        blocks = iter_sieve(args.u_min, args.u_max, workers=args.threads,
+                            encode=functools.partial(_sieve_block, record))
     except RangeTooLarge as exc:
         print(f"ryser: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -178,16 +206,18 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         print(f"ryser: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    counts = {Verdict.REJECTED.value: 0, Verdict.NOT_DECIDED.value: 0}
-    survivors = []
+    total, survivors = 0, []
     if args.format == "csv":
         print("u,n,verdict,rejection_primes,witnesses")
-    for u, verdict, line in records:
-        counts[verdict.value] += 1
-        if verdict is Verdict.NOT_DECIDED:
-            survivors.append(u)
-        print(line, flush=True)
-    total = sum(counts.values())
+    # One write and one flush per span: a piped stdout is block-buffered,
+    # and the flush passes each span on as soon as it is computed.
+    for text, found in blocks:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        total += text.count("\n")
+        survivors += found
+    counts = {Verdict.REJECTED.value: total - len(survivors),
+              Verdict.NOT_DECIDED.value: len(survivors)}
     summary = {"total": total, "counts": counts, "survivors": survivors}
     if args.format == "csv":
         joined = " ".join(str(u) for u in survivors) or "none"

@@ -17,11 +17,13 @@ theorem_witnesses(u) factors u itself, or takes its primes through the
 primes keyword. The sieve passes them: it factors each span's odd u
 together, in one segmented pass of the odd primes up to the square root of
 the span's end (arith._factor_odd_span), so no u is trial-divided alone.
-It also shares one memo across the span's u, so each order mod a prime
-power, and each factorization of q - 1, is found once per span; the memo
-goes with the span, so it never outgrows one. A caller's encode turns each
-(u, report) into its output record inside the span, in a pool's worker for
-a pooled span, so only finished records travel back to the caller.
+It also shares one memo across the span's u. An order mod a prime power
+M depends only on p mod M, so each such order is found once per residue
+class and span, and each factorization of q - 1 once per span; the memo
+goes with the span, so it never outgrows one. A caller's encode turns the
+span's u and reports into one finished block of output inside the span, in
+a pool's worker for a pooled span, so one result per span travels back to
+the caller.
 
 The proof is taken from the paper, not checked here. A row's m-compression
 a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
@@ -152,50 +154,57 @@ def theorem_witnesses(u: int, *,
     q - 1 is, once for each prime q of u, for the order mod q that
     arith._prime_power_order lifts to q^(2b). memo, a dict that the caller
     may share between calls, keeps those factorizations under q and each
-    order mod q^(2b) under (p, q, b), the order mod 4 under (p, 2, 1); the
-    sieve shares one across each span. Every check on u and primes runs
-    whatever memo holds, but its entries are trusted: a memo must come
-    empty or from earlier calls, since a wrong order in it is reported.
+    order of p mod M, M being q^(2b) or 4, under (p % M, M), so one order
+    serves every prime of its residue class; the sieve shares one memo
+    across each span. Every check on u and primes runs whatever memo
+    holds, but its entries are trusted: a memo must come empty or from
+    earlier calls, since a wrong order in it is reported.
     """
     u = _checked_u("u", u)
     primes = factorize(u) if primes is None else tuple(primes)
-    if (any(b < 1 for _, b in primes)
-            or any(q >= r for (q, _), (r, _) in itertools.pairwise(primes))):
-        raise ValueError(f"the pairs {primes} are not strictly ascending "
-                         "with exponents of at least 1")
-    if math.prod(q ** b for q, b in primes) != u:
+    # moduli[i] is the power of the i-th prime of n in n, 2^2 first: the
+    # modulus of that prime's orders, and p^(2a) for its own witness.
+    moduli = [4]
+    last, product = -math.inf, 1
+    for q, b in primes:
+        if b < 1 or q <= last:
+            raise ValueError(f"the pairs {primes} are not strictly ascending "
+                             "with exponents of at least 1")
+        last, power = q, q ** b
+        product *= power
+        moduli.append(power * power)
+    if product != u:
         raise ValueError(f"the pairs {primes} do not multiply to u {u}")
     if memo is None:
         memo = {}
     n = 4 * u * u
-    # n is 2^2 times the q^(2b) of u, so m = n / p^(2a) is the product of
-    # the prime powers of n other than p's, and the order mod m is the lcm
-    # of the orders mod each of them.
+    # m = n / p^(2a) is the product of the other primes' moduli, so the
+    # order mod m is the lcm of the orders mod each of them. An order mod M
+    # depends only on p mod M, so primes of one residue share one entry.
     powers = ((2, 1),) + primes
     witnesses = []
-    for p, a in powers:
+    for (p, a), power in zip(powers, moduli):
         orders = []
-        for q, b in powers:
+        for (q, _), modulus in zip(powers, moduli):
             if q != p:
-                order = memo.get((p, q, b))
+                key = (p % modulus, modulus)
+                order = memo.get(key)
                 if order is None:
-                    order = memo[p, q, b] = _pair_order(p, q, b, memo)
+                    order = memo[key] = _pair_order(p, q, modulus, memo)
                 orders.append(order)
-        power = p ** (2 * a)
-        witnesses.append(WitnessRecord(p=p, a=a, m=n // power,
-                                       order=math.lcm(*orders),
-                                       j_index=1 + power % n))
-    return CriterionReport(n=n, witnesses=tuple(witnesses))
+        witnesses.append(WitnessRecord(p, a, n // power, math.lcm(*orders),
+                                       1 + power % n))
+    return CriterionReport(n, tuple(witnesses))
 
 
-def _pair_order(p: int, q: int, b: int, memo: dict) -> int:
-    """Order of p mod q^(2b), q a prime other than p; q = 2 only with b = 1."""
+def _pair_order(p: int, q: int, modulus: int, memo: dict) -> int:
+    """Order of p mod modulus = q^(2b), q a prime other than p, or mod 4."""
     if q == 2:
         return multiplicative_order(p, 4)
     split = memo.get(q)
     if split is None:
         split = memo[q] = factorize(q - 1)
-    return _prime_power_order(p, q, q ** (2 * b), split)
+    return _prime_power_order(p, q, modulus, split)
 
 
 def check_order(n: int) -> CriterionReport:
@@ -207,7 +216,7 @@ def check_order(n: int) -> CriterionReport:
     return theorem_witnesses(u)
 
 
-def _sieve_span(span: tuple[int, int], encode: Callable | None = None) -> list:
+def _sieve_span(span: tuple[int, int], encode: Callable | None = None):
     # One memo serves the span's u, at most _SIEVE_SPAN of them, and then
     # goes, so it stays small and a new span recomputes what it needs.
     lo, hi = span
@@ -215,9 +224,7 @@ def _sieve_span(span: tuple[int, int], encode: Callable | None = None) -> list:
     us = range(lo, hi, 2)
     reports = [theorem_witnesses(u, primes=primes, memo=memo)
                for u, primes in zip(us, _factor_odd_span(lo, hi))]
-    if encode is None:
-        return reports
-    return list(map(encode, us, reports))
+    return reports if encode is None else encode(us, reports)
 
 
 def _validated_spans(u_min: int, u_max: int) -> list[tuple[int, int]]:
@@ -254,18 +261,20 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     costs, though the ramp cuts it into several spans too. Each span shares
     one memo of orders across its u (see theorem_witnesses).
 
-    With encode, the stream yields encode(u, report) instead of each
-    CriterionReport. encode runs where the span runs, in a worker for a
+    With encode, the stream yields encode(us, reports) once per span
+    instead, us being the span's range of u and reports their
+    CriterionReports. encode runs where the span runs, in a worker for a
     pooled span, so only its results come back to this process; it must
     pickle, as a module-level function does.
     """
     spans = _validated_spans(u_min, u_max)
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
         workers = 1
-    worker = _sieve_span
-    if encode is not None:
-        worker = functools.partial(worker, encode=encode)
-    return itertools.chain.from_iterable(run_spans(worker, spans, workers))
+    if encode is None:
+        return itertools.chain.from_iterable(
+            run_spans(_sieve_span, spans, workers))
+    return run_spans(functools.partial(_sieve_span, encode=encode), spans,
+                     workers)
 
 
 def _ignore_sigint() -> None:
@@ -292,14 +301,15 @@ def __getattr__(name: str):
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
-    With two or more workers, which only iter_sieve asks for and then with
-    at least two tasks (the searches pass one task and one worker), the
-    first task still runs in this process, so its result never waits for
-    the pool. Only then are the pool and signal modules imported and a pool
-    started for the other tasks. Tasks go one per message, so callers size
+    With two or more workers and at least three tasks, the first task
+    still runs in this process, so its result never waits for the pool.
+    Only then are the pool and signal modules imported and a pool started
+    for the other tasks. Fewer tasks all run in this process, since a pool
+    for one task left over gains nothing; so do the searches, which pass
+    one task and one worker. Tasks go one per message, so callers size
     them; closing the iterator early tears the pool down.
     """
-    if workers <= 1:
+    if workers <= 1 or len(tasks) < 3:
         yield from map(worker, tasks)
         return
     yield worker(tasks[0])

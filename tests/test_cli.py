@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from ryser.cli import _csv_record, _json_record, _witness_dict, main
-from ryser.criterion import MAX_SIEVE_BOUND, theorem_witnesses
+from ryser.cli import (_csv_record, _json_record, _sieve_block, _witness_dict,
+                       main)
+from ryser.criterion import (MAX_SIEVE_BOUND, Verdict, _sieve_span,
+                             run_spans, theorem_witnesses)
 
 from oracles import naive_mod_pow
 
@@ -198,34 +200,51 @@ def test_sieve_csv_bytes_are_pinned(capsys, monkeypatch, threads):
         "c5f2283dab84ef14f6b721d3cfeffbfc4cd732b7b3b90a7ade034fc4b62325be")
 
 
+# Spans holding 1, 73 and 89 (survivors), 5 (rejected by its p = 2 witness
+# alone, m = 25), 15015 (rejected by all six of its primes) and the ceiling,
+# whose moduli reach 2^61.
+BLOCK_SPANS = [(1, 7), (73, 91), (15015, 15017),
+               (MAX_SIEVE_BOUND - 4, MAX_SIEVE_BOUND + 1)]
+
+
 def test_sieve_csv_row_is_what_csv_writer_writes():
     import csv
 
-    for u in (1, 73, 15015, MAX_SIEVE_BOUND):
-        report = theorem_witnesses(u)
+    for lo, hi in BLOCK_SPANS:
+        us = range(lo, hi, 2)
+        reports = _sieve_span((lo, hi))
         sink = io.StringIO()
-        csv.writer(sink, lineterminator="\n").writerow([
-            u, report.n, report.verdict.value,
-            ";".join(map(str, report.rejection_primes)),
-            ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses)])
-        assert _csv_record(u, report) == (u, report.verdict,
-                                          sink.getvalue()[:-1]), u
+        writer = csv.writer(sink, lineterminator="\n")
+        for u, report in zip(us, reports):
+            writer.writerow([
+                u, report.n, report.verdict.value,
+                ";".join(map(str, report.rejection_primes)),
+                ";".join(f"{w.p}:{w.m}:{w.order}" for w in report.witnesses)])
+        survivors = [u for u, r in zip(us, reports)
+                     if r.verdict is Verdict.NOT_DECIDED]
+        assert _sieve_block(_csv_record, us, reports) == (
+            sink.getvalue(), survivors), (lo, hi)
 
 
 def test_sieve_line_is_the_json_of_its_record():
-    # u = 1 has the one witness m = 1; 73 and 89 survive; 15015 is rejected
-    # by all six of its primes; the ceiling's moduli reach 2^61.
-    for u in (1, 73, 89, 15015, MAX_SIEVE_BOUND):
-        report = theorem_witnesses(u)
-        record = {
+    blocks = []
+    for lo, hi in BLOCK_SPANS:
+        us = range(lo, hi, 2)
+        reports = _sieve_span((lo, hi))
+        text = "".join(json.dumps({
             "u": u,
             "n": report.n,
             "verdict": report.verdict.value,
             "rejection_primes": list(report.rejection_primes),
             "witnesses": [_witness_dict(w) for w in report.witnesses],
-        }
-        assert _json_record(u, report) == (u, report.verdict,
-                                           json.dumps(record)), u
+        }) + "\n" for u, report in zip(us, reports))
+        survivors = [u for u, r in zip(us, reports)
+                     if r.verdict is Verdict.NOT_DECIDED]
+        blocks.append(_sieve_block(_json_record, us, reports))
+        assert blocks[-1] == (text, survivors), (lo, hi)
+    assert [found for _, found in blocks[:2]] == [[1], [73, 89]]
+    assert theorem_witnesses(5).rejection_primes == (2,)
+    assert theorem_witnesses(5).witnesses[0].m == 25
     assert len(theorem_witnesses(15015).rejection_primes) == 6
 
 
@@ -244,12 +263,14 @@ class FlushCounter(io.StringIO):
 @pytest.mark.parametrize("fmt, first", [("json-lines", 1), ("csv", 2)])
 def test_sieve_flushes_every_record(monkeypatch, fmt, first):
     # A piped stdout is block-buffered, so a record reaches its reader as
-    # soon as it is computed only if the sieve flushes it.
+    # soon as its span is computed only if the sieve flushes the span. Up to
+    # 9 the spans hold 1, 2 and 2 candidates, so the flushes fall exactly at
+    # their ends, after the CSV header if there is one; the last flush is
+    # main's, after the JSON summary line or the CSV summary on stderr.
     stdout = FlushCounter()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["sieve", "1", "9", "--threads", "1", "--format", fmt]) == 0
-    records = range(first, first + 5)  # u = 1, 3, 5, 7, 9
-    assert set(records) <= set(stdout.flushed_at), stdout.flushed_at
+    assert stdout.flushed_at == [first, first + 2, first + 4, 6]
 
 
 def test_sieve_cap_exits_4_before_any_record(capsys):
@@ -299,6 +320,19 @@ class ProbePool:
 
     def imap(self, worker, tasks):
         return map(worker, tasks)
+
+
+@pytest.mark.parametrize("tasks, sizes", [
+    ([], []), ([-1], []), ([-1, -2], []), ([-1, -2, -3], [2]),
+], ids=["none", "one", "two", "three"])
+def test_run_spans_runs_too_few_tasks_in_process(monkeypatch, tasks, sizes):
+    # The first task always runs here, so a pool would take only the rest;
+    # for one task left over it gains nothing, and with none it cannot start.
+    monkeypatch.setattr("ryser.criterion.multiprocessing",
+                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr(ProbePool, "sizes", [])
+    assert list(run_spans(abs, tasks, 2)) == [abs(t) for t in tasks]
+    assert ProbePool.sizes == sizes
 
 
 @pytest.mark.parametrize("argv", [
@@ -523,7 +557,7 @@ LONG_SIEVE = [sys.executable, "-m", "ryser", "sieve", "1", "200001",
 ], ids=["sieve, one line read", "search, nothing read"])
 def test_closed_stdout_exits_quietly(tmp_path, argv, lines):
     # Block-buffered stdout, as a user's shell gives it: the sieve meets the
-    # closed pipe at its next record's flush, the search at the final flush.
+    # closed pipe at its next span's flush, the search at the final flush.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     started = time.monotonic()
     with open(tmp_path / "stderr", "w+") as err:

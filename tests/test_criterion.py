@@ -160,7 +160,8 @@ def test_theorem_witnesses_never_factors_a_modulus(monkeypatch):
     u = 3 ** 2 * 5 * 1093
     theorem_witnesses(u)
     assert factored == [u, 2, 4, 1092]
-    assert ordered == [4, 4, 4]
+    # One order mod 4 per residue class: 3 = 3 and 5 = 1093 = 1 (mod 4).
+    assert ordered == [4, 4]
 
 
 def test_theorem_witnesses_takes_the_primes_of_u():
@@ -210,21 +211,33 @@ def test_span_memo_gives_the_reports_of_fresh_calls():
 
 
 def test_span_finds_each_pair_order_once(monkeypatch):
-    factored, ordered = [], []
+    # An order mod M depends only on p mod M, so the span finds it once per
+    # residue class: twice mod 4, and once per class mod each q^(2b).
+    factored, ordered, lifted = [], [], []
 
     def counted_factorize(n):
         factored.append(n)
         return factorize(n)
 
     def counted_order(p, m):
-        ordered.append(p)
+        ordered.append((p % m, m))
         return multiplicative_order(p, m)
+
+    def counted_lift(p, q, modulus, split):
+        lifted.append((p % modulus, modulus))
+        return _prime_power_order(p, q, modulus, split)
 
     monkeypatch.setattr("ryser.criterion.factorize", counted_factorize)
     monkeypatch.setattr("ryser.criterion.multiplicative_order", counted_order)
-    _sieve_span((1, 2189))
+    monkeypatch.setattr("ryser.criterion._prime_power_order", counted_lift)
+    reports = _sieve_span((1, 2189))
     assert len(set(factored)) == len(factored) > 300
-    assert len(set(ordered)) == len(ordered) > 300
+    assert sorted(ordered) == [(1, 4), (3, 4)]
+    assert len(set(lifted)) == len(lifted) > 300
+    needed = {(w.p % (q ** (2 * b)), q ** (2 * b))
+              for u, report in zip(range(1, 2189, 2), reports)
+              for w in report.witnesses for q, b in factorize(u) if q != w.p}
+    assert set(lifted) == needed
 
 
 def test_memo_leaves_every_check_on_u_and_its_primes():
@@ -310,23 +323,28 @@ def test_sieve_parallel_matches_serial(monkeypatch):
             == list(iter_sieve(1, 99, workers=1)))
 
 
-def _tagged(u, report):
+def _tagged(us, reports):
     # Module level, so that a pool can pickle it.
-    return u, report.n, report.verdict
+    return [(u, report.n, report.verdict) for u, report in zip(us, reports)]
 
 
-def _pid(u, report):
+def _pid(us, reports):
     return os.getpid()
 
 
 def test_sieve_encodes_each_record_where_its_span_runs(monkeypatch):
+    # encode gets each span's u and reports together and gives one result
+    # per span.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
+    spans = _validated_spans(1, 99)
     pooled = list(iter_sieve(1, 99, workers=3, encode=_tagged))
-    assert pooled == [_tagged(u, theorem_witnesses(u))
-                      for u in range(1, 100, 2)]
+    assert pooled == [_tagged(range(lo, hi, 2),
+                              [theorem_witnesses(u) for u in range(lo, hi, 2)])
+                      for lo, hi in spans]
     assert pooled == list(iter_sieve(1, 99, workers=1, encode=_tagged))
     # The first span runs here, every other one in a worker.
     pids = list(iter_sieve(1, 99, workers=3, encode=_pid))
+    assert len(pids) == len(spans) > 2
     assert pids[0] == os.getpid() not in pids[1:]
     # Without encode the stream holds the reports themselves.
     assert all(type(r) is CriterionReport
