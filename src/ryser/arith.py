@@ -26,8 +26,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test, valid for all n below 2^64.
 
-    Raises ValueError for n >= 2^64, outside that domain.
+    n may be any integer type (operator.index), never a float. Raises
+    ValueError for n >= 2^64, outside that domain.
     """
+    n = operator.index(n)
     if n >= 1 << 64:
         raise ValueError(f"n must be below 2^64, got {n}")
     if n < 2:

@@ -208,7 +208,10 @@ def _pair_order(p: int, q: int, modulus: int, memo: dict) -> int:
 
 
 def check_order(n: int) -> CriterionReport:
-    """Parse and judge n; orders not of candidate form are NOT_APPLICABLE."""
+    """Parse and judge n; orders not of candidate form are NOT_APPLICABLE.
+
+    n < 1 is no order at all: it raises ValueError, as parse_candidate does.
+    """
     try:
         u = parse_candidate(n)
     except NotCandidateForm:

@@ -145,6 +145,10 @@ def test_factorize_takes_integers_only():
     # A float would pass the range check and leak into primes and orders.
     with pytest.raises(TypeError):
         factorize(26.0)
+    for x in (3.0, 7.0, 25.0, 7.5):
+        with pytest.raises(TypeError):
+            is_prime(x)
+    assert is_prime(np.int64(7)) and not is_prime(np.int64(25))
     with pytest.raises(TypeError):
         multiplicative_order(3, 10.0)
     assert factorize(True) == ()

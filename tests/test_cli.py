@@ -293,7 +293,10 @@ def test_sieve_cap_is_no_setting(capsys, monkeypatch, value):
 
 
 def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):
+    # Without the patch, --threads 3 is clamped to the host's CPUs, and on
+    # one CPU both runs would be serial.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
     outs = []
     for threads in ("1", "3"):
         code, out, err = run_cli(capsys, "sieve", "1", "99",
@@ -416,16 +419,17 @@ def test_search_barker_thirteen(capsys):
     assert "+++++--++-+-+" in lines[:-1]
 
 
-def assert_matches_the_benchmark_references(capsys, *argvs):
+def assert_matches_the_benchmark_references(capsys, *argvs, extra=()):
     # bench/refs.json holds the digests of these outputs at the seed commit,
-    # so every later version must print them byte for byte.
+    # so every later version must print them byte for byte, whatever extra
+    # arguments such as --threads are added to the benchmark's argv.
     refs_path = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
     refs = json.loads(refs_path.read_text())
     for argv in argvs:
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, *extra)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == refs[" ".join(argv)], argv
+        assert digest == refs[" ".join(argv)], (*argv, *extra)
 
 
 def test_search_output_matches_the_benchmark_references(capsys):
@@ -452,12 +456,18 @@ def test_every_search_prints_its_pinned_bytes(capsys, kind, top, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_sieve_output_matches_the_benchmark_references(capsys):
+def test_sieve_output_matches_the_benchmark_references(capsys, monkeypatch):
     # The deep window sieves u near 10^9 in short spans, whose segmented
     # pass walks every odd prime up to the square root of the span's end and
-    # leaves prime cofactors above it.
+    # leaves prime cofactors above it. The shallow window's 10,001
+    # candidates, prime powers among them, fill 19 spans, which two workers
+    # pool on any host.
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
     assert_matches_the_benchmark_references(
         capsys, ("sieve", "1", "145"), ("sieve", "1000000001", "1000000079"))
+    for threads in ("1", "2"):
+        assert_matches_the_benchmark_references(
+            capsys, ("sieve", "1", "20001"), extra=("--threads", threads))
 
 
 def test_search_guards(capsys):
