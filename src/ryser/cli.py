@@ -94,18 +94,21 @@ def _json_record(u: int, report: CriterionReport) -> tuple[str, bool]:
 
     The line is the text json.dumps gives the record's dict. Every field is
     an int or a fixed ASCII word, so plain formatting with json.dumps's
-    default separators writes the same bytes, faster. Each witness's parity
-    is read once: a sieve record always holds the witness of 2, so it is
-    NOT_DECIDED exactly when no parity is even.
+    default separators writes the same bytes, faster. Each witness is
+    unpacked once and its parity taken from order % 2: a sieve record always
+    holds the witness of 2, so it is NOT_DECIDED exactly when no order is
+    even.
     """
     primes, witnesses = [], []
-    for w in report.witnesses:
-        parity = w.parity
-        if parity == "even":
-            primes.append(str(w.p))
+    for p, a, m, order, j_index in report.witnesses:
+        if order % 2:
+            parity = "odd"
+        else:
+            parity = "even"
+            primes.append(str(p))
         witnesses.append(
-            f'{{"p": {w.p}, "a": {w.a}, "m": {w.m}, "order": {w.order}, '
-            f'"parity": "{parity}", "j_index": {w.j_index}}}')
+            f'{{"p": {p}, "a": {a}, "m": {m}, "order": {order}, '
+            f'"parity": "{parity}", "j_index": {j_index}}}')
     verdict = Verdict.REJECTED if primes else Verdict.NOT_DECIDED
     return (f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
             f'"rejection_primes": [{", ".join(primes)}], '
@@ -116,14 +119,14 @@ def _csv_record(u: int, report: CriterionReport) -> tuple[str, bool]:
     """(CSV row, whether u survives) of one sieve record.
 
     No field holds a comma, quote or line break, so joining them with commas
-    writes the bytes csv.writer would. Each witness's parity is read once,
-    as in _json_record.
+    writes the bytes csv.writer would. Each witness is unpacked once, as in
+    _json_record.
     """
     primes, witnesses = [], []
-    for w in report.witnesses:
-        if w.parity == "even":
-            primes.append(str(w.p))
-        witnesses.append(f"{w.p}:{w.m}:{w.order}")
+    for p, _, m, order, _ in report.witnesses:
+        if order % 2 == 0:
+            primes.append(str(p))
+        witnesses.append(f"{p}:{m}:{order}")
     verdict = Verdict.REJECTED if primes else Verdict.NOT_DECIDED
     return (f"{u},{report.n},{verdict.value},{';'.join(primes)},"
             f"{';'.join(witnesses)}"), not primes

@@ -17,13 +17,15 @@ theorem_witnesses(u) factors u itself, or takes its primes through the
 primes keyword. The sieve passes them: it factors each span's odd u
 together, in one segmented pass of the odd primes up to the square root of
 the span's end (arith._factor_odd_span), so no u is trial-divided alone.
-It also shares one memo across the span's u. An order mod a prime power
-M depends only on p mod M, so each such order is found once per residue
-class and span, and each factorization of q - 1 once per span; the memo
-goes with the span, so it never outgrows one. A caller's encode turns the
-span's u and reports into one finished block of output inside the span, in
-a pool's worker for a pooled span, so one result per span travels back to
-the caller.
+It also keeps one memo per process and run, across all the spans that
+process gets. An order mod a prime power M depends only on p mod M, so each
+such order is found once per residue class, and each factorization of
+q - 1 once, in each process of a run. iter_sieve empties the memo when a
+run starts, and a span empties it whole when it holds more than _MEMO_CAP
+(2^17) entries, about 30 MB, so memory stays bounded up to the sieve's cap.
+A caller's encode turns the span's u and reports into one finished block of
+output inside the span, in a pool's worker for a pooled span, so one result
+per span travels back to the caller.
 
 The proof is taken from the paper, not checked here. A row's m-compression
 a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
@@ -57,6 +59,12 @@ MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 # first records stream out before a full span is done. The first span always
 # runs in the calling process, before any pool starts; a pool takes the rest.
 _SIEVE_SPAN = 1024
+
+# The sieve's memo (see theorem_witnesses), one per process and run, and the
+# most entries a span lets it keep: about 30 MB at some 230 B an entry, so
+# memory stays bounded up to DEFAULT_SIEVE_CAP candidates.
+_memo: dict = {}
+_MEMO_CAP = 1 << 17
 
 
 class Verdict(str, Enum):
@@ -109,7 +117,11 @@ class CriterionReport(namedtuple("CriterionReport", "n witnesses")):
 
 
 def parse_candidate(n: int) -> int:
-    """The odd u with n = 4u^2; NotCandidateForm says why there is none."""
+    """The odd u with n = 4u^2; NotCandidateForm says why there is none.
+
+    n may be of any integer type, never a float, which raises TypeError.
+    """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n % 4 != 0:
@@ -155,10 +167,12 @@ def theorem_witnesses(u: int, *,
     arith._prime_power_order lifts to q^(2b). memo, a dict that the caller
     may share between calls, keeps those factorizations under q and each
     order of p mod M, M being q^(2b) or 4, under (p % M, M), so one order
-    serves every prime of its residue class; the sieve shares one memo
-    across each span. Every check on u and primes runs whatever memo
-    holds, but its entries are trusted: a memo must come empty or from
-    earlier calls, since a wrong order in it is reported.
+    serves every prime of its residue class. The sieve shares one memo
+    across all the spans of a run in each process, emptied when the run
+    starts and, to bound memory, whenever it holds more than _MEMO_CAP
+    (2^17) entries. Every check on u and primes runs whatever memo holds,
+    but its entries are trusted: a memo must come empty or from earlier
+    calls, since a wrong order in it is reported.
     """
     u = _checked_u("u", u)
     primes = factorize(u) if primes is None else tuple(primes)
@@ -220,12 +234,14 @@ def check_order(n: int) -> CriterionReport:
 
 
 def _sieve_span(span: tuple[int, int], encode: Callable | None = None):
-    # One memo serves the span's u, at most _SIEVE_SPAN of them, and then
-    # goes, so it stays small and a new span recomputes what it needs.
+    # The run's memo serves every span this process gets. Emptied whole once
+    # it holds more than _MEMO_CAP (2^17) entries, it never holds more than
+    # that plus one span's entries, so memory stays bounded on long runs.
+    if len(_memo) > _MEMO_CAP:
+        _memo.clear()
     lo, hi = span
-    memo: dict = {}
     us = range(lo, hi, 2)
-    reports = [theorem_witnesses(u, primes=primes, memo=memo)
+    reports = [theorem_witnesses(u, primes=primes, memo=_memo)
                for u, primes in zip(us, _factor_odd_span(lo, hi))]
     return reports if encode is None else encode(us, reports)
 
@@ -261,8 +277,12 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     the first report, takes the other spans, and they are merged back in
     order, so the stream never depends on scheduling. A range of at most
     _SIEVE_SPAN candidates runs in this process whatever each candidate
-    costs, though the ramp cuts it into several spans too. Each span shares
-    one memo of orders across its u (see theorem_witnesses).
+    costs, though the ramp cuts it into several spans too. Each process
+    keeps one memo of orders across all the spans it runs (see
+    theorem_witnesses). It is emptied here, eagerly, so every run starts
+    from an empty one, in this process and in the pool's forked workers
+    alike, and a span empties it once it holds more than _MEMO_CAP (2^17)
+    entries, about 30 MB, to bound memory.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
@@ -271,6 +291,7 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     pickle, as a module-level function does.
     """
     spans = _validated_spans(u_min, u_max)
+    _memo.clear()
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
         workers = 1
     if encode is None:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from ryser import criterion
+from ryser.arith import _factor_odd_span
 from ryser.cli import (_csv_record, _json_record, _sieve_block, _witness_dict,
                        main)
 from ryser.criterion import (MAX_SIEVE_BOUND, Verdict, _sieve_span,
@@ -468,6 +470,26 @@ def test_sieve_output_matches_the_benchmark_references(capsys, monkeypatch):
     for threads in ("1", "2"):
         assert_matches_the_benchmark_references(
             capsys, ("sieve", "1", "20001"), extra=("--threads", threads))
+
+
+def test_sieve_output_holds_with_a_small_memo_cap(capsys, monkeypatch):
+    # A span empties the run's memo once it holds more than _MEMO_CAP
+    # entries; the spans after that recompute what they need and print the
+    # same bytes. Forked pool workers inherit the lowered cap.
+    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
+    monkeypatch.setattr("ryser.criterion._MEMO_CAP", 64)
+    held = []  # the memo's size as each span in this process starts
+
+    def watched(lo, hi):
+        held.append(len(criterion._memo))
+        return _factor_odd_span(lo, hi)
+
+    monkeypatch.setattr("ryser.criterion._factor_odd_span", watched)
+    for threads in ("1", "2"):
+        assert_matches_the_benchmark_references(
+            capsys, ("sieve", "1", "20001"), extra=("--threads", threads))
+    assert max(held) <= 64
+    assert any(later < earlier for earlier, later in zip(held, held[1:]))
 
 
 def test_search_guards(capsys):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from ryser.arith import _prime_power_order, factorize, multiplicative_order
@@ -35,6 +36,18 @@ def test_parse_candidate_reason_tags():
     assert exc.value.reason == "square root even"
     with pytest.raises(ValueError):
         parse_candidate(0)
+
+
+def test_candidate_parsing_refuses_every_float():
+    # A float raises TypeError whether or not it is of candidate form, and
+    # an integer of another type is taken as the int it stands for.
+    for call in (parse_candidate, check_order):
+        for bad in (10.0, 12.0, 36.0):
+            with pytest.raises(TypeError):
+                call(bad)
+    n = np.int64(36)
+    assert type(parse_candidate(n)) is int and parse_candidate(n) == 3
+    assert check_order(n) == check_order(36)
 
 
 def test_parse_candidate_accepts_exactly_odd_square_quotients():
@@ -210,9 +223,9 @@ def test_span_memo_gives_the_reports_of_fresh_calls():
             assert is_exact_order(w.p, w.m, w.order), (u, w)
 
 
-def test_span_finds_each_pair_order_once(monkeypatch):
-    # An order mod M depends only on p mod M, so the span finds it once per
-    # residue class: twice mod 4, and once per class mod each q^(2b).
+def counted_kernels(monkeypatch):
+    """Lists of the calls the sieve makes to factorize, multiplicative_order
+    and _prime_power_order, each kept as its argument or (p % M, M)."""
     factored, ordered, lifted = [], [], []
 
     def counted_factorize(n):
@@ -230,7 +243,15 @@ def test_span_finds_each_pair_order_once(monkeypatch):
     monkeypatch.setattr("ryser.criterion.factorize", counted_factorize)
     monkeypatch.setattr("ryser.criterion.multiplicative_order", counted_order)
     monkeypatch.setattr("ryser.criterion._prime_power_order", counted_lift)
-    reports = _sieve_span((1, 2189))
+    return factored, ordered, lifted
+
+
+def test_sieve_finds_each_pair_order_once_per_run(monkeypatch):
+    # An order mod M depends only on p mod M, so one run in one process
+    # finds it once per residue class, whatever span needs it: twice mod 4,
+    # and once per class mod each q^(2b).
+    factored, ordered, lifted = counted_kernels(monkeypatch)
+    reports = list(iter_sieve(1, 2187, workers=1))
     assert len(set(factored)) == len(factored) > 300
     assert sorted(ordered) == [(1, 4), (3, 4)]
     assert len(set(lifted)) == len(lifted) > 300
@@ -238,6 +259,19 @@ def test_span_finds_each_pair_order_once(monkeypatch):
               for u, report in zip(range(1, 2189, 2), reports)
               for w in report.witnesses for q, b in factorize(u) if q != w.p}
     assert set(lifted) == needed
+
+
+def test_each_sieve_run_starts_from_an_empty_memo(monkeypatch):
+    # The memo outlives a run's spans but not the run: a second sieve of
+    # the same range in the same process does the same work again.
+    factored, _, lifted = counted_kernels(monkeypatch)
+    counts = []
+    for _ in range(2):
+        list(iter_sieve(1, 4097, workers=1))
+        counts.append((len(factored), len(lifted)))
+        factored.clear()
+        lifted.clear()
+    assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
 def test_memo_leaves_every_check_on_u_and_its_primes():
