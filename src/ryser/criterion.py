@@ -17,15 +17,9 @@ theorem_witnesses(u) factors u itself, or takes its primes through the
 primes keyword. The sieve passes them: it factors each span's odd u
 together, in one segmented pass of the odd primes up to the square root of
 the span's end (arith._factor_odd_span), so no u is trial-divided alone.
-It also keeps one memo per process and run, across all the spans that
-process gets. An order mod a prime power M depends only on p mod M, so each
-such order is found once per residue class, and each factorization of
-q - 1 once, in each process of a run. iter_sieve empties the memo when a
-run starts, and a span empties it whole when it holds more than _MEMO_CAP
-(2^17) entries, about 30 MB, so memory stays bounded up to the sieve's cap.
-A caller's encode turns the span's u and reports into one finished block of
-output inside the span, in a pool's worker for a pooled span, so one result
-per span travels back to the caller.
+A caller's encode turns the span's u and reports into one finished block
+of output inside the span, in a pool's worker for a pooled span, so one
+result per span travels back to the caller.
 
 The proof is taken from the paper, not checked here. A row's m-compression
 a_r = sum of h_i over i = r (mod m) fixes every eigenvalue at an m-th root
@@ -60,9 +54,16 @@ MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 # runs in the calling process, before any pool starts; a pool takes the rest.
 _SIEVE_SPAN = 1024
 
-# The sieve's memo (see theorem_witnesses), one per process and run, and the
-# most entries a span lets it keep: about 30 MB at some 230 B an entry, so
-# memory stays bounded up to DEFAULT_SIEVE_CAP candidates.
+# theorem_witnesses' bounded per-process cache, shared by all its calls. It
+# keeps factorize(q - 1) under q, and the order of p mod M, M being q^(2b)
+# or 4, under (p % M, q, M): that order depends only on p mod M, so one
+# entry serves every prime of its residue class, and with q in the key an
+# entry is what a fresh call on the same pairs computes, whatever primes a
+# caller passed. A call empties it whole when it holds more than _MEMO_CAP
+# entries, about 30 MB at some 230 B an entry, so it never holds more than
+# that plus one u's entries. iter_sieve empties it when a run starts, so a
+# run does the same work, in this process and in the pool it forks,
+# whatever ran before it.
 _memo: dict = {}
 _MEMO_CAP = 1 << 17
 
@@ -147,8 +148,8 @@ def _checked_u(name: str, u: int) -> int:
 
 
 def theorem_witnesses(u: int, *,
-                      primes: Iterable[tuple[int, int]] | None = None,
-                      memo: dict | None = None) -> CriterionReport:
+                      primes: Iterable[tuple[int, int]] | None = None
+                      ) -> CriterionReport:
     """Order-parity witnesses for every distinct prime of n = 4u^2, ascending.
 
     u may be of any integer type, never a float, which raises TypeError. It
@@ -163,17 +164,13 @@ def theorem_witnesses(u: int, *,
     is structural, so every order is defined.
 
     No modulus is factored (see the module docstring): besides u, only
-    q - 1 is, once for each prime q of u, for the order mod q that
-    arith._prime_power_order lifts to q^(2b). memo, a dict that the caller
-    may share between calls, keeps those factorizations under q and each
-    order of p mod M, M being q^(2b) or 4, under (p % M, M), so one order
-    serves every prime of its residue class. The sieve shares one memo
-    across all the spans of a run in each process, emptied when the run
-    starts and, to bound memory, whenever it holds more than _MEMO_CAP
-    (2^17) entries. Every check on u and primes runs whatever memo holds,
-    but its entries are trusted: a memo must come empty or from earlier
-    calls, since a wrong order in it is reported.
+    q - 1 is, for the order mod q that arith._prime_power_order lifts to
+    q^(2b). Those factorizations and each order of p mod q^(2b) or 4 are
+    kept in _memo, this process's cache of at most _MEMO_CAP (2^17) entries
+    plus one u's, keyed by residue class and emptied by iter_sieve.
     """
+    if len(_memo) > _MEMO_CAP:
+        _memo.clear()
     u = _checked_u("u", u)
     primes = factorize(u) if primes is None else tuple(primes)
     # moduli[i] is the power of the i-th prime of n in n, 2^2 first: the
@@ -189,35 +186,32 @@ def theorem_witnesses(u: int, *,
         moduli.append(power * power)
     if product != u:
         raise ValueError(f"the pairs {primes} do not multiply to u {u}")
-    if memo is None:
-        memo = {}
     n = 4 * u * u
     # m = n / p^(2a) is the product of the other primes' moduli, so the
-    # order mod m is the lcm of the orders mod each of them. An order mod M
-    # depends only on p mod M, so primes of one residue share one entry.
+    # order mod m is the lcm of the orders mod each of them.
     powers = ((2, 1),) + primes
     witnesses = []
     for (p, a), power in zip(powers, moduli):
         orders = []
         for (q, _), modulus in zip(powers, moduli):
             if q != p:
-                key = (p % modulus, modulus)
-                order = memo.get(key)
+                key = (p % modulus, q, modulus)
+                order = _memo.get(key)
                 if order is None:
-                    order = memo[key] = _pair_order(p, q, modulus, memo)
+                    order = _memo[key] = _pair_order(p, q, modulus)
                 orders.append(order)
         witnesses.append(WitnessRecord(p, a, n // power, math.lcm(*orders),
                                        1 + power % n))
     return CriterionReport(n, tuple(witnesses))
 
 
-def _pair_order(p: int, q: int, modulus: int, memo: dict) -> int:
+def _pair_order(p: int, q: int, modulus: int) -> int:
     """Order of p mod modulus = q^(2b), q a prime other than p, or mod 4."""
     if q == 2:
         return multiplicative_order(p, 4)
-    split = memo.get(q)
+    split = _memo.get(q)
     if split is None:
-        split = memo[q] = factorize(q - 1)
+        split = _memo[q] = factorize(q - 1)
     return _prime_power_order(p, q, modulus, split)
 
 
@@ -234,14 +228,9 @@ def check_order(n: int) -> CriterionReport:
 
 
 def _sieve_span(span: tuple[int, int], encode: Callable | None = None):
-    # The run's memo serves every span this process gets. Emptied whole once
-    # it holds more than _MEMO_CAP (2^17) entries, it never holds more than
-    # that plus one span's entries, so memory stays bounded on long runs.
-    if len(_memo) > _MEMO_CAP:
-        _memo.clear()
     lo, hi = span
     us = range(lo, hi, 2)
-    reports = [theorem_witnesses(u, primes=primes, memo=_memo)
+    reports = [theorem_witnesses(u, primes=primes)
                for u, primes in zip(us, _factor_odd_span(lo, hi))]
     return reports if encode is None else encode(us, reports)
 
@@ -268,21 +257,17 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
                encode: Callable | None = None) -> Iterator:
     """Stream one report per odd u in [u_min, u_max] for n = 4u^2, ascending.
 
-    The bounds, checked as theorem_witnesses checks u, and the cap of
-    DEFAULT_SIEVE_CAP candidates are validated eagerly; the returned
-    iterator only computes. The range is cut into spans of 1, 2, 4, ...
-    candidates, up to _SIEVE_SPAN, so the first report needs only the first
-    candidate. The first span always runs in this process. With several
-    workers and more than _SIEVE_SPAN candidates a pool, started only after
-    the first report, takes the other spans, and they are merged back in
-    order, so the stream never depends on scheduling. A range of at most
-    _SIEVE_SPAN candidates runs in this process whatever each candidate
-    costs, though the ramp cuts it into several spans too. Each process
-    keeps one memo of orders across all the spans it runs (see
-    theorem_witnesses). It is emptied here, eagerly, so every run starts
-    from an empty one, in this process and in the pool's forked workers
-    alike, and a span empties it once it holds more than _MEMO_CAP (2^17)
-    entries, about 30 MB, to bound memory.
+    The bounds, checked as theorem_witnesses checks u, the cap of
+    DEFAULT_SIEVE_CAP candidates and workers, a positive integer, are
+    validated eagerly; the returned iterator only computes. The range is
+    cut into spans of 1, 2, 4, ... candidates, up to _SIEVE_SPAN, so the
+    first report needs only the first candidate. The first span always
+    runs in this process. With several workers and more than _SIEVE_SPAN
+    candidates a pool, started only after the first report, takes the other
+    spans, and they are merged back in order, so the stream never depends
+    on scheduling. A range of at most _SIEVE_SPAN candidates runs in this
+    process whatever each candidate costs, though the ramp cuts it into
+    several spans too.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
@@ -291,6 +276,9 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     pickle, as a module-level function does.
     """
     spans = _validated_spans(u_min, u_max)
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     _memo.clear()
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
         workers = 1

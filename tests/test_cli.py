@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from ryser import criterion
-from ryser.arith import _factor_odd_span
 from ryser.cli import (_csv_record, _json_record, _sieve_block, _witness_dict,
                        main)
 from ryser.criterion import (MAX_SIEVE_BOUND, Verdict, _sieve_span,
@@ -473,23 +472,31 @@ def test_sieve_output_matches_the_benchmark_references(capsys, monkeypatch):
 
 
 def test_sieve_output_holds_with_a_small_memo_cap(capsys, monkeypatch):
-    # A span empties the run's memo once it holds more than _MEMO_CAP
-    # entries; the spans after that recompute what they need and print the
-    # same bytes. Forked pool workers inherit the lowered cap.
+    # theorem_witnesses empties the memo once it holds more than _MEMO_CAP
+    # entries; the calls after that recompute what they need and print the
+    # same bytes. Forked pool workers inherit the lowered cap. Each call in
+    # this process leaves at most the cap plus the entries its u alone
+    # needs, counted from an empty memo.
     monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
     monkeypatch.setattr("ryser.criterion._MEMO_CAP", 64)
-    held = []  # the memo's size as each span in this process starts
+    held = []  # (size before, size after, entries of u alone) per call
 
-    def watched(lo, hi):
-        held.append(len(criterion._memo))
-        return _factor_odd_span(lo, hi)
+    def watched(u, *, primes):
+        before = len(criterion._memo)
+        report = theorem_witnesses(u, primes=primes)
+        after, shared = len(criterion._memo), criterion._memo
+        criterion._memo = {}
+        theorem_witnesses(u, primes=primes)
+        held.append((before, after, len(criterion._memo)))
+        criterion._memo = shared
+        return report
 
-    monkeypatch.setattr("ryser.criterion._factor_odd_span", watched)
+    monkeypatch.setattr("ryser.criterion.theorem_witnesses", watched)
     for threads in ("1", "2"):
         assert_matches_the_benchmark_references(
             capsys, ("sieve", "1", "20001"), extra=("--threads", threads))
-    assert max(held) <= 64
-    assert any(later < earlier for earlier, later in zip(held, held[1:]))
+    assert all(after <= 64 + alone for _, after, alone in held)
+    assert any(after < before for before, after, _ in held)
 
 
 def test_search_guards(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -8,11 +9,12 @@ import textwrap
 import numpy as np
 import pytest
 
+from ryser import criterion
 from ryser.arith import _prime_power_order, factorize, multiplicative_order
 from ryser.criterion import (_SIEVE_SPAN, DEFAULT_SIEVE_CAP, MAX_SIEVE_BOUND,
                              CriterionReport, Verdict, _sieve_span,
                              _validated_spans, check_order, iter_sieve,
-                             parse_candidate, theorem_witnesses)
+                             parse_candidate, run_spans, theorem_witnesses)
 from ryser.errors import NotCandidateForm, RangeTooLarge
 
 from oracles import check_record, is_exact_order, naive_factor, naive_order
@@ -158,6 +160,7 @@ def test_prime_power_order_matches_naive_oracle():
 
 
 def test_theorem_witnesses_never_factors_a_modulus(monkeypatch):
+    monkeypatch.setattr("ryser.criterion._memo", {})
     factored, ordered = [], []
 
     def counted_factorize(n):
@@ -200,27 +203,68 @@ def test_theorem_witnesses_refuses_pairs_out_of_order():
             theorem_witnesses(u, primes=primes)
 
 
-def test_span_memo_gives_the_reports_of_fresh_calls():
+def fresh_report(u, primes=None):
+    """theorem_witnesses(u, primes=primes) from an empty memo, leaving the
+    shared memo as it was."""
+    shared = criterion._memo
+    criterion._memo = {}
+    try:
+        return theorem_witnesses(u, primes=primes)
+    finally:
+        criterion._memo = shared
+
+
+def test_span_memo_gives_the_reports_of_fresh_calls(monkeypatch):
     # The span holds 3^k for k up to 7 and every 3^k * 5^j below 2189, so
     # the order of 2 mod 3^(2b) is asked for with several b in one memo; a
     # key without b would reuse the order mod 3^2 for 3^4 and fail the
     # certificate.
+    monkeypatch.setattr("ryser.criterion._memo", {})
     reports = _sieve_span((1, 2189))
     assert len(reports) == 1094
     for u, report in zip(range(1, 2189, 2), reports):
-        assert report == theorem_witnesses(u), u
+        assert report == fresh_report(u), u
         for w in report.witnesses:
             assert is_exact_order(w.p, w.m, w.order), (u, w)
-    # One memo across unrelated u in descending order, so that a lower power
-    # of 3, 5 or 1093 comes after a higher one.
-    memo = {}
+    # The shared memo across unrelated u in descending order, so that a
+    # lower power of 3, 5 or 1093 comes after a higher one.
+    monkeypatch.setattr("ryser.criterion._memo", {})
     sample = [3 ** 7, 3 ** 4 * 5 ** 2, 3 ** 2 * 5 ** 3, 5 ** 4, 7 ** 3 * 3,
               15015, 1093 ** 2, 1093 * 3 ** 2, 1093, 73, 9, 3, 1]
     for u in sorted(sample, reverse=True):
-        report = theorem_witnesses(u, primes=factorize(u), memo=memo)
-        assert report == theorem_witnesses(u), u
+        report = theorem_witnesses(u, primes=factorize(u))
+        assert report == fresh_report(u), u
         for w in report.witnesses:
             assert is_exact_order(w.p, w.m, w.order), (u, w)
+    assert len(criterion._memo) > len(sample)
+
+
+def test_the_shared_memo_never_changes_a_report(monkeypatch):
+    # Fill the memo first with "primes" that are not prime, whose pair
+    # orders are wrong: q in each key keeps those for 9^1 apart from those
+    # for 3^2, of the same modulus 81. Then with seeded random u. Sieve
+    # seeded windows through it, without iter_sieve's clear: short ones in this
+    # process, and one of more than _SIEVE_SPAN candidates on two workers,
+    # so that a real pool forks with the filled memo. That window lies
+    # below 10^6, where most pair orders are memo hits.
+    monkeypatch.setattr("ryser.criterion._memo", {})
+    theorem_witnesses(9, primes=((9, 1),))
+    theorem_witnesses(45, primes=((5, 1), (9, 1)))
+    rng = random.Random(27)
+    for u in [rng.randrange(1, MAX_SIEVE_BOUND + 1, 2) for _ in range(200)]:
+        theorem_witnesses(u)
+    assert len(criterion._memo) > 1000
+    lows = [rng.randrange(1, MAX_SIEVE_BOUND - 32, 2) for _ in range(64)]
+    windows = [(lo, lo + 32, 1) for lo in [1, 3 ** 7] + lows]
+    lo = rng.randrange(1, 10 ** 6, 2)
+    windows.append((lo, lo + 2 * _SIEVE_SPAN + 64, 2))
+    for lo, hi, workers in windows:
+        reports = itertools.chain.from_iterable(
+            run_spans(_sieve_span, _validated_spans(lo, hi), workers))
+        for u, report in zip(range(lo, hi + 1, 2), reports, strict=True):
+            assert report == fresh_report(u), u
+            for w in report.witnesses:
+                assert is_exact_order(w.p, w.m, w.order), (u, w)
 
 
 def counted_kernels(monkeypatch):
@@ -274,17 +318,17 @@ def test_each_sieve_run_starts_from_an_empty_memo(monkeypatch):
     assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
-def test_memo_leaves_every_check_on_u_and_its_primes():
-    memo = {}
-    theorem_witnesses(15, primes=((3, 1), (5, 1)), memo=memo)
-    assert memo
+def test_memo_leaves_every_check_on_u_and_its_primes(monkeypatch):
+    monkeypatch.setattr("ryser.criterion._memo", {})
+    theorem_witnesses(15, primes=((3, 1), (5, 1)))
+    assert criterion._memo
     for u, primes in ((15, ((5, 1), (3, 1))), (15, ((3, 1), (5, 1), (7, 0))),
                       (9, ((3, 1),)), (15, ((3, 1), (5, 1), (7, 1)))):
         with pytest.raises(ValueError, match="ascending|do not multiply"):
-            theorem_witnesses(u, primes=primes, memo=memo)
+            theorem_witnesses(u, primes=primes)
     for u in (0, 2, MAX_SIEVE_BOUND + 2):
         with pytest.raises(ValueError):
-            theorem_witnesses(u, memo=memo)
+            theorem_witnesses(u)
 
 
 def test_sieve_factors_no_u_alone(monkeypatch):
@@ -454,6 +498,18 @@ def test_sieve_refuses_float_bounds_at_the_call():
     for primes in (((3, 2),), None):
         with pytest.raises(TypeError):
             theorem_witnesses(9.0, primes=primes)
+
+
+def test_sieve_refuses_bad_workers_at_the_call():
+    # Checked before the iterator exists, not when a pool starts, and also
+    # for a range too short to use a pool.
+    for u_max in (9, 4001):
+        for workers in (2.5, None, "2"):
+            with pytest.raises(TypeError):
+                iter_sieve(1, u_max, workers=workers)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be a positive"):
+                iter_sieve(1, u_max, workers=workers)
 
 
 def test_sieve_bound_ceiling():
