@@ -243,10 +243,10 @@ def test_the_shared_memo_never_changes_a_report(monkeypatch):
     # Fill the memo first with "primes" that are not prime, whose pair
     # orders are wrong: q in each key keeps those for 9^1 apart from those
     # for 3^2, of the same modulus 81. Then with seeded random u. Sieve
-    # seeded windows through it, without iter_sieve's clear: short ones in this
-    # process, and one of more than _SIEVE_SPAN candidates on two workers,
-    # so that a real pool forks with the filled memo. That window lies
-    # below 10^6, where most pair orders are memo hits.
+    # seeded windows through it, without iter_sieve's clear: short ones in
+    # this process, and one of more than _SIEVE_SPAN candidates on two
+    # workers, so that a real pool forks with the filled memo. That window
+    # lies below 10^6, where most pair orders are memo hits.
     monkeypatch.setattr("ryser.criterion._memo", {})
     theorem_witnesses(9, primes=((9, 1),))
     theorem_witnesses(45, primes=((5, 1), (9, 1)))
