@@ -206,7 +206,10 @@ def _prime_power_order(p: int, q: int, modulus: int,
     those primes while p^t stays 1 mod q. Then p^t lies in the kernel of
     reduction mod q, a group of order q^(k-1), so its order there is a power
     of q: p^t is raised to the q-th power until it is 1 mod q^k, and t is
-    multiplied by q each time. This holds for q = 2 too, where t is 1.
+    multiplied by q each time. This holds for q = 2 too, where t is 1. The
+    order is below modulus, so a t above it shows that q is not a prime or
+    shares a factor with p; then ValueError is raised unless the lifts can
+    still end, x^(q^j) being 1 for j the bit length of modulus.
     """
     t = q - 1
     for r, _ in split:
@@ -216,4 +219,6 @@ def _prime_power_order(p: int, q: int, modulus: int,
     while x != 1:
         x = pow(x, q, modulus)
         t *= q
+        if t > modulus and pow(x, q ** modulus.bit_length(), modulus) != 1:
+            raise ValueError(f"{q} is not a prime, or shares a factor with {p}")
     return t

@@ -20,8 +20,8 @@ from .arith import MAX_INPUT
 from .barker import search_barker
 from .circulant import (SignRow, is_circulant_hadamard,
                         periodic_autocorrelation, search_all, spectrum)
-from .criterion import (CriterionReport, Verdict, WitnessRecord, check_order,
-                        iter_sieve)
+from .criterion import (CriterionReport, Verdict, WitnessRecord,
+                        available_parallelism, check_order, iter_sieve)
 from .errors import LengthTooLarge, OrderTooLarge, RangeTooLarge
 
 SCHEMA_VERSION = "1"
@@ -32,13 +32,6 @@ EXIT_NOT_APPLICABLE = 3
 EXIT_GUARD = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
-
-
-def available_parallelism() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _decimal_int(text: str) -> int:
@@ -200,7 +193,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 
     record = _csv_record if args.format == "csv" else _json_record
     try:
-        blocks = iter_sieve(args.u_min, args.u_max, workers=args.threads,
+        blocks = iter_sieve(args.u_min, args.u_max,
+                            workers=args.threads or available_parallelism(),
                             encode=functools.partial(_sieve_block, record))
     except RangeTooLarge as exc:
         print(f"ryser: {exc}", file=sys.stderr)
@@ -303,11 +297,6 @@ def _rows_as_positionals(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_rows_as_positionals(argv))
-    if hasattr(args, "threads"):
-        # Extra workers cannot run at once, so an unclamped count would only
-        # ask the sieve for a pool of idle processes.
-        limit = available_parallelism()
-        args.threads = min(args.threads or limit, limit)
     try:
         code = args.handler(args)
         sys.stdout.flush()

@@ -33,6 +33,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
@@ -157,11 +158,11 @@ def theorem_witnesses(u: int, *,
     2^63; other u raise ValueError. The primes of n are 2 and those of
     u: primes, any sequence of the pairs factorize(u) returns, or
     factorize(u) itself when primes is None. Pairs not strictly ascending,
-    with an exponent below 1 or a product other than u raise ValueError;
-    their primes are trusted to be prime, as the sieve's segmented pass
-    proves them. For p = 2 the modulus is u^2; for an odd prime p with p^a
-    exactly dividing u it is n / p^(2a). Coprimality of p and its modulus
-    is structural, so every order is defined.
+    with an exponent below 1 or a product other than u raise ValueError,
+    as do two primes that share a factor and any composite one whose orders
+    would never end; other primes are trusted, as the sieve's segmented
+    pass proves them. For p = 2 the modulus is u^2; for an odd prime p with
+    p^a exactly dividing u it is n / p^(2a), prime to p.
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, for the order mod q that arith._prime_power_order lifts to
@@ -263,11 +264,11 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     cut into spans of 1, 2, 4, ... candidates, up to _SIEVE_SPAN, so the
     first report needs only the first candidate. The first span always
     runs in this process. With several workers and more than _SIEVE_SPAN
-    candidates a pool, started only after the first report, takes the other
-    spans, and they are merged back in order, so the stream never depends
-    on scheduling. A range of at most _SIEVE_SPAN candidates runs in this
-    process whatever each candidate costs, though the ramp cuts it into
-    several spans too.
+    candidates a pool no wider than the CPUs, started only after the first
+    report, takes the other spans, and they are merged back in order, so
+    the stream never depends on scheduling. A range of at most _SIEVE_SPAN
+    candidates runs in this process whatever each candidate costs, though
+    the ramp cuts it into several spans too.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
@@ -282,11 +283,9 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     _memo.clear()
     if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
         workers = 1
-    if encode is None:
-        return itertools.chain.from_iterable(
-            run_spans(_sieve_span, spans, workers))
-    return run_spans(functools.partial(_sieve_span, encode=encode), spans,
-                     workers)
+    blocks = run_spans(functools.partial(_sieve_span, encode=encode), spans,
+                       workers)
+    return itertools.chain.from_iterable(blocks) if encode is None else blocks
 
 
 def _ignore_sigint() -> None:
@@ -310,18 +309,24 @@ def __getattr__(name: str):
     return multiprocessing
 
 
+def available_parallelism() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
-    With two or more workers and at least three tasks, the first task
-    still runs in this process, so its result never waits for the pool.
-    Only then are the pool and signal modules imported and a pool started
-    for the other tasks. Fewer tasks all run in this process, since a pool
-    for one task left over gains nothing; so do the searches, which pass
-    one task and one worker. Tasks go one per message, so callers size
-    them; closing the iterator early tears the pool down.
+    The first task always runs in this process, so its result never waits
+    for a pool; a pool of min(workers, available_parallelism(), len(tasks)
+    - 1) processes takes the rest, and below two every task runs here. Only
+    a pool imports the pool and signal modules. Tasks go one per message,
+    so callers size them; closing the iterator early tears the pool down.
     """
-    if workers <= 1 or len(tasks) < 3:
+    size = min(workers, available_parallelism(), len(tasks) - 1)
+    if size < 2:
         yield from map(worker, tasks)
         return
     yield worker(tasks[0])
@@ -334,7 +339,7 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     # Before the block, a Ctrl-C meets no pool and interrupts at once.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        with Pool(min(workers, len(tasks) - 1), _ignore_sigint) as pool:
+        with Pool(size, _ignore_sigint) as pool:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             yield from pool.imap(worker, tasks[1:])
     finally:

@@ -18,7 +18,7 @@ from ryser import criterion
 from ryser.cli import (_csv_record, _json_record, _sieve_block, _witness_dict,
                        main)
 from ryser.criterion import (MAX_SIEVE_BOUND, Verdict, _sieve_span,
-                             run_spans, theorem_witnesses)
+                             iter_sieve, run_spans, theorem_witnesses)
 
 from oracles import naive_mod_pow
 
@@ -191,7 +191,7 @@ def test_sieve_csv_bytes_are_pinned(capsys, monkeypatch, threads):
     # bench/refs.json pins only the JSON lines; these digests of the CSV
     # rows and of the stderr summary were recorded before the rows were
     # built in the sieve's workers. Up to 4097 two workers start a pool.
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     code, out, err = run_cli(capsys, "sieve", "1", "4097", "--format", "csv",
                              "--threads", threads)
     assert code == 0
@@ -297,7 +297,7 @@ def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):
     # Without the patch, --threads 3 is clamped to the host's CPUs, and on
     # one CPU both runs would be serial.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     outs = []
     for threads in ("1", "3"):
         code, out, err = run_cli(capsys, "sieve", "1", "99",
@@ -332,11 +332,31 @@ class ProbePool:
 def test_run_spans_runs_too_few_tasks_in_process(monkeypatch, tasks, sizes):
     # The first task always runs here, so a pool would take only the rest;
     # for one task left over it gains nothing, and with none it cannot start.
+    # Two CPUs, so that a host with one would not run three tasks here too.
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     monkeypatch.setattr("ryser.criterion.multiprocessing",
                         types.SimpleNamespace(Pool=ProbePool))
     monkeypatch.setattr(ProbePool, "sizes", [])
     assert list(run_spans(abs, tasks, 2)) == [abs(t) for t in tasks]
     assert ProbePool.sizes == sizes
+
+
+def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
+    # Not only the CLI's: a library caller asking for 64 workers on two CPUs
+    # gets a pool of two, not one per span left (11 up to 4097) or all 64 on
+    # a longer range, whose spans are stubbed out to keep this quick.
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
+    monkeypatch.setattr("ryser.criterion.multiprocessing",
+                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr(ProbePool, "sizes", [])
+    reports = list(iter_sieve(1, 4097, workers=64))
+    assert [r.n for r in reports] == [4 * u * u for u in range(1, 4098, 2)]
+    monkeypatch.setattr("ryser.criterion._sieve_span",
+                        lambda span, encode=None: [span])
+    spans = list(iter_sieve(1, 200001, workers=64))
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    assert (spans[0][0], spans[-1][1], len(spans)) == (1, 200002, 107)
+    assert ProbePool.sizes == [2, 2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,7 +369,7 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
     # Small spans give far more sieve tasks than the 1000 requested workers
     # would need to each get one.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 1)
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     monkeypatch.setattr("ryser.criterion.multiprocessing",
                         types.SimpleNamespace(Pool=ProbePool))
     monkeypatch.setattr(ProbePool, "sizes", [])
@@ -365,7 +385,7 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
 def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
     # The ramp cuts even a short range into several spans, but a pool pays
     # only beyond _SIEVE_SPAN (1024) candidates.
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     monkeypatch.setattr("ryser.criterion.multiprocessing",
                         types.SimpleNamespace(Pool=ProbePool))
     for u_max, sizes in (("2047", []), ("2049", [3])):
@@ -386,7 +406,7 @@ def test_sieve_pool_starts_after_the_first_record(monkeypatch, span, u_max,
     # spans left: 11 of 12 up to 4097, but only 2 of 3 (1, 2 and 2
     # candidates) up to 9 with spans of at most 2.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", span)
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 3)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     stdout = io.StringIO()
     lines_at_pool = []
 
@@ -463,7 +483,7 @@ def test_sieve_output_matches_the_benchmark_references(capsys, monkeypatch):
     # leaves prime cofactors above it. The shallow window's 10,001
     # candidates, prime powers among them, fill 19 spans, which two workers
     # pool on any host.
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     assert_matches_the_benchmark_references(
         capsys, ("sieve", "1", "145"), ("sieve", "1000000001", "1000000079"))
     for threads in ("1", "2"):
@@ -477,7 +497,7 @@ def test_sieve_output_holds_with_a_small_memo_cap(capsys, monkeypatch):
     # same bytes. Forked pool workers inherit the lowered cap. Each call in
     # this process leaves at most the cap plus the entries its u alone
     # needs, counted from an empty memo.
-    monkeypatch.setattr("ryser.cli.available_parallelism", lambda: 2)
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     monkeypatch.setattr("ryser.criterion._MEMO_CAP", 64)
     held = []  # (size before, size after, entries of u alone) per call
 
@@ -650,7 +670,7 @@ def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
 
         if __name__ == "__main__":
             criterion.multiprocessing = Interrupting()
-            ryser.cli.available_parallelism = lambda: 2
+            criterion.available_parallelism = lambda: 2
             sys.exit(ryser.cli.main(["sieve", "1", "4097", "--threads", "2"]))
         """))
     proc = subprocess.Popen([sys.executable, str(script)],

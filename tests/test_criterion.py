@@ -203,6 +203,22 @@ def test_theorem_witnesses_refuses_pairs_out_of_order():
             theorem_witnesses(u, primes=primes)
 
 
+@pytest.mark.parametrize("u, primes, message", [
+    (27, ((3, 1), (9, 1)), "9 is not a prime, or shares a factor with 3"),
+    (45, ((3, 1), (15, 1)), "15 is not a prime, or shares a factor with 2"),
+])
+def test_pairs_whose_orders_never_end_raise(u, primes, message):
+    # No 3^t is 1 mod 9^2, nor any (2^14)^(15^j) mod 15^2, so each lift
+    # would loop for ever. The call runs in a child that the timeout ends,
+    # so a hang fails the test instead of stalling the suite.
+    probe = ("from ryser.criterion import theorem_witnesses\n"
+             f"theorem_witnesses({u}, primes={primes!r})")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"ValueError: {message}"
+
+
 def fresh_report(u, primes=None):
     """theorem_witnesses(u, primes=primes) from an empty memo, leaving the
     shared memo as it was."""
