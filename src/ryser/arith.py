@@ -208,8 +208,7 @@ def _prime_power_order(p: int, q: int, modulus: int,
     of q: p^t is raised to the q-th power until it is 1 mod q^k, and t is
     multiplied by q each time. This holds for q = 2 too, where t is 1. The
     order is below modulus, so a t above it shows that q is not a prime or
-    shares a factor with p; then ValueError is raised unless the lifts can
-    still end, x^(q^j) being 1 for j the bit length of modulus.
+    shares a factor with p, and raises ValueError.
     """
     t = q - 1
     for r, _ in split:
@@ -219,6 +218,6 @@ def _prime_power_order(p: int, q: int, modulus: int,
     while x != 1:
         x = pow(x, q, modulus)
         t *= q
-        if t > modulus and pow(x, q ** modulus.bit_length(), modulus) != 1:
+        if t > modulus:
             raise ValueError(f"{q} is not a prime, or shares a factor with {p}")
     return t

@@ -159,10 +159,10 @@ def theorem_witnesses(u: int, *,
     u: primes, any sequence of the pairs factorize(u) returns, or
     factorize(u) itself when primes is None. Pairs not strictly ascending,
     with an exponent below 1 or a product other than u raise ValueError,
-    as do two primes that share a factor and any composite one whose orders
-    would never end; other primes are trusted, as the sieve's segmented
-    pass proves them. For p = 2 the modulus is u^2; for an odd prime p with
-    p^a exactly dividing u it is n / p^(2a), prime to p.
+    as do two primes that share a factor and a composite one once an order
+    it lifts outgrows its modulus; other primes are trusted, as the sieve's
+    segmented pass proves them. For p = 2 the modulus is u^2; for an odd
+    prime p with p^a exactly dividing u it is n / p^(2a), prime to p.
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, for the order mod q that arith._prime_power_order lifts to

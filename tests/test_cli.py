@@ -711,6 +711,7 @@ def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
                 return started
 
             criterion.multiprocessing = types.SimpleNamespace(Pool=pool)
+            criterion.available_parallelism = lambda: 2
             try:
                 list(criterion.iter_sieve(1, 4097, workers=2))
             except KeyboardInterrupt:

@@ -204,13 +204,14 @@ def test_theorem_witnesses_refuses_pairs_out_of_order():
 
 
 @pytest.mark.parametrize("u, primes, message", [
-    (27, ((3, 1), (9, 1)), "9 is not a prime, or shares a factor with 3"),
+    (27, ((3, 1), (9, 1)), "9 is not a prime, or shares a factor with 2"),
     (45, ((3, 1), (15, 1)), "15 is not a prime, or shares a factor with 2"),
 ])
 def test_pairs_whose_orders_never_end_raise(u, primes, message):
-    # No 3^t is 1 mod 9^2, nor any (2^14)^(15^j) mod 15^2, so each lift
-    # would loop for ever. The call runs in a child that the timeout ends,
-    # so a hang fails the test instead of stalling the suite.
+    # No 3^t is 1 mod 9^2, nor any (2^14)^(15^j) mod 15^2, so those lifts
+    # would loop for ever; each stops once t outgrows the modulus, which
+    # for 27 happens first at 2 mod 81. The call runs in a child that the
+    # timeout ends, so a hang fails the test instead of stalling the suite.
     probe = ("from ryser.criterion import theorem_witnesses\n"
              f"theorem_witnesses({u}, primes={primes!r})")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -256,16 +257,23 @@ def test_span_memo_gives_the_reports_of_fresh_calls(monkeypatch):
 
 
 def test_the_shared_memo_never_changes_a_report(monkeypatch):
-    # Fill the memo first with "primes" that are not prime, whose pair
-    # orders are wrong: q in each key keeps those for 9^1 apart from those
-    # for 3^2, of the same modulus 81. Then with seeded random u. Sieve
-    # seeded windows through it, without iter_sieve's clear: short ones in
-    # this process, and one of more than _SIEVE_SPAN candidates on two
-    # workers, so that a real pool forks with the filled memo. That window
+    # Fill the memo first with "primes" that are not prime: 9 raises before
+    # it keeps any pair order mod 81, the modulus of 3^2, and 21 keeps a
+    # wrong order of 2 mod 441, a modulus no prime has. Then with seeded
+    # random u. Sieve seeded windows through it, without iter_sieve's
+    # clear: short ones in this process, and one of more than _SIEVE_SPAN
+    # candidates on two workers, so that a real pool forks with the filled
+    # memo; two CPUs are patched in, so it does on any host. That window
     # lies below 10^6, where most pair orders are memo hits.
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     monkeypatch.setattr("ryser.criterion._memo", {})
-    theorem_witnesses(9, primes=((9, 1),))
-    theorem_witnesses(45, primes=((5, 1), (9, 1)))
+    for u, primes in ((9, ((9, 1),)), (45, ((5, 1), (9, 1)))):
+        with pytest.raises(ValueError, match="^9 is not a prime"):
+            theorem_witnesses(u, primes=primes)
+    assert [key for key in criterion._memo
+            if type(key) is tuple and key[1] == 9] == []
+    theorem_witnesses(21, primes=((21, 1),))
+    assert criterion._memo[2, 21, 441] == 420 != multiplicative_order(2, 441)
     rng = random.Random(27)
     for u in [rng.randrange(1, MAX_SIEVE_BOUND + 1, 2) for _ in range(200)]:
         theorem_witnesses(u)
@@ -412,6 +420,7 @@ def test_sieve_survivors_to_145():
 
 
 def test_sieve_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
     assert (list(iter_sieve(1, 99, workers=3))
             == list(iter_sieve(1, 99, workers=1)))
@@ -428,7 +437,8 @@ def _pid(us, reports):
 
 def test_sieve_encodes_each_record_where_its_span_runs(monkeypatch):
     # encode gets each span's u and reports together and gives one result
-    # per span.
+    # per span. Three CPUs are patched in, so three workers pool on any host.
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 8)
     spans = _validated_spans(1, 99)
     pooled = list(iter_sieve(1, 99, workers=3, encode=_tagged))
@@ -475,12 +485,14 @@ def test_first_report_needs_only_the_first_span(monkeypatch):
 
 def test_pool_module_loads_only_for_a_pooled_sieve():
     # u up to 4097 is 2049 candidates, more than one full span, so two
-    # workers start a real pool whatever the CPU count, but only after the
-    # first report, which this process computes.
+    # workers start a real pool, with two CPUs patched in for a host that
+    # has fewer, but only after the first report, which this process
+    # computes.
     probe = textwrap.dedent("""
         import sys
         before = set(sys.modules)
         import ryser.criterion as criterion
+        criterion.available_parallelism = lambda: 2
         serial = list(criterion.iter_sieve(1, 4097, workers=1))
         assert 'multiprocessing' not in set(sys.modules) - before
         pooled = criterion.iter_sieve(1, 4097, workers=2)
