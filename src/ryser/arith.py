@@ -6,6 +6,7 @@ An order modulo m is the lcm of the orders modulo the prime powers q^k of m,
 each lifted from the order mod q by the one order kernel, _prime_power_order.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -24,16 +25,21 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, valid for all n below 2^64.
+    """Exact primality for all n below 2^64.
 
-    n may be any integer type (operator.index), never a float. Raises
-    ValueError for n >= 2^64, outside that domain.
+    n below 2^16 is looked up in the table of _odd_primes(); a larger n
+    gets a deterministic Miller-Rabin test. n may be any integer type
+    (operator.index), never a float. Raises ValueError for n >= 2^64,
+    outside that domain.
     """
     n = operator.index(n)
     if n >= 1 << 64:
         raise ValueError(f"n must be below 2^64, got {n}")
     if n < 2:
         return False
+    if n < _TRIAL_LIMIT:
+        primes = _odd_primes()
+        return n == 2 or primes[bisect.bisect_right(primes, n) - 1] == n
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -90,7 +90,8 @@ def _json_record(u: int, report: CriterionReport) -> tuple[str, bool]:
     default separators writes the same bytes, faster. Each witness is
     unpacked once and its parity taken from order % 2: a sieve record always
     holds the witness of 2, so it is NOT_DECIDED exactly when no order is
-    even.
+    even. The parity and verdict words are written as literals, with no
+    Verdict lookup per record.
     """
     primes, witnesses = [], []
     for p, a, m, order, j_index in report.witnesses:
@@ -102,8 +103,8 @@ def _json_record(u: int, report: CriterionReport) -> tuple[str, bool]:
         witnesses.append(
             f'{{"p": {p}, "a": {a}, "m": {m}, "order": {order}, '
             f'"parity": "{parity}", "j_index": {j_index}}}')
-    verdict = Verdict.REJECTED if primes else Verdict.NOT_DECIDED
-    return (f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict.value}", '
+    verdict = "REJECTED" if primes else "NOT_DECIDED"
+    return (f'{{"u": {u}, "n": {report.n}, "verdict": "{verdict}", '
             f'"rejection_primes": [{", ".join(primes)}], '
             f'"witnesses": [{", ".join(witnesses)}]}}'), not primes
 
@@ -120,8 +121,8 @@ def _csv_record(u: int, report: CriterionReport) -> tuple[str, bool]:
         if order % 2 == 0:
             primes.append(str(p))
         witnesses.append(f"{p}:{m}:{order}")
-    verdict = Verdict.REJECTED if primes else Verdict.NOT_DECIDED
-    return (f"{u},{report.n},{verdict.value},{';'.join(primes)},"
+    verdict = "REJECTED" if primes else "NOT_DECIDED"
+    return (f"{u},{report.n},{verdict},{';'.join(primes)},"
             f"{';'.join(witnesses)}"), not primes
 
 

@@ -18,7 +18,7 @@ primes keyword. The sieve passes them: it factors each span's odd u
 together, in one segmented pass of the odd primes up to the square root of
 the span's end (arith._factor_odd_span), so no u is trial-divided alone.
 A caller's encode turns the span's u and reports into one finished block
-of output inside the span, in a pool's worker for a pooled span, so one
+of output inside the span, in a forked worker for a pooled span, so one
 result per span travels back to the caller.
 
 The proof is taken from the paper, not checked here. A row's m-compression
@@ -34,7 +34,6 @@ import itertools
 import math
 import operator
 import os
-import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
@@ -158,11 +157,12 @@ def theorem_witnesses(u: int, *,
     2^63; other u raise ValueError. The primes of n are 2 and those of
     u: primes, any sequence of the pairs factorize(u) returns, or
     factorize(u) itself when primes is None. Pairs not strictly ascending,
-    with an exponent below 1 or a product other than u raise ValueError,
-    as do two primes that share a factor and a composite one once an order
-    it lifts outgrows its modulus; other primes are trusted, as the sieve's
-    segmented pass proves them. For p = 2 the modulus is u^2; for an odd
-    prime p with p^a exactly dividing u it is n / p^(2a), prime to p.
+    with a prime below 2, an exponent below 1 or a product other than u
+    raise ValueError, as do two primes that share a factor and a composite
+    one once an order it lifts outgrows its modulus; other primes are
+    trusted, as the sieve's segmented pass proves them. For p = 2 the
+    modulus is u^2; for an odd prime p with p^a exactly dividing u it is
+    n / p^(2a), prime to p.
 
     No modulus is factored (see the module docstring): besides u, only
     q - 1 is, for the order mod q that arith._prime_power_order lifts to
@@ -170,18 +170,19 @@ def theorem_witnesses(u: int, *,
     kept in _memo, this process's cache of at most _MEMO_CAP (2^17) entries
     plus one u's, keyed by residue class and emptied by iter_sieve.
     """
-    if len(_memo) > _MEMO_CAP:
-        _memo.clear()
+    memo = _memo
+    if len(memo) > _MEMO_CAP:
+        memo.clear()
     u = _checked_u("u", u)
     primes = factorize(u) if primes is None else tuple(primes)
     # moduli[i] is the power of the i-th prime of n in n, 2^2 first: the
     # modulus of that prime's orders, and p^(2a) for its own witness.
     moduli = [4]
-    last, product = -math.inf, 1
+    last, product = 1, 1
     for q, b in primes:
         if b < 1 or q <= last:
             raise ValueError(f"the pairs {primes} are not strictly ascending "
-                             "with exponents of at least 1")
+                             "primes above 1 with exponents of at least 1")
         last, power = q, q ** b
         product *= power
         moduli.append(power * power)
@@ -189,7 +190,9 @@ def theorem_witnesses(u: int, *,
         raise ValueError(f"the pairs {primes} do not multiply to u {u}")
     n = 4 * u * u
     # m = n / p^(2a) is the product of the other primes' moduli, so the
-    # order mod m is the lcm of the orders mod each of them.
+    # order mod m is the lcm of the orders mod each of them. The records
+    # are built with tuple.__new__, which skips the namedtuple's own
+    # Python-level __new__ and makes the same tuples.
     powers = ((2, 1),) + primes
     witnesses = []
     for (p, a), power in zip(powers, moduli):
@@ -197,13 +200,14 @@ def theorem_witnesses(u: int, *,
         for (q, _), modulus in zip(powers, moduli):
             if q != p:
                 key = (p % modulus, q, modulus)
-                order = _memo.get(key)
-                if order is None:
-                    order = _memo[key] = _pair_order(p, q, modulus)
-                orders.append(order)
-        witnesses.append(WitnessRecord(p, a, n // power, math.lcm(*orders),
-                                       1 + power % n))
-    return CriterionReport(n, tuple(witnesses))
+                try:
+                    orders.append(memo[key])
+                except KeyError:
+                    memo[key] = order = _pair_order(p, q, modulus)
+                    orders.append(order)
+        witnesses.append(tuple.__new__(WitnessRecord, (
+            p, a, n // power, math.lcm(*orders), 1 + power % n)))
+    return tuple.__new__(CriterionReport, (n, tuple(witnesses)))
 
 
 def _pair_order(p: int, q: int, modulus: int) -> int:
@@ -264,17 +268,18 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     cut into spans of 1, 2, 4, ... candidates, up to _SIEVE_SPAN, so the
     first report needs only the first candidate. The first span always
     runs in this process. With several workers and more than _SIEVE_SPAN
-    candidates a pool no wider than the CPUs, started only after the first
-    report, takes the other spans, and they are merged back in order, so
+    candidates, forked workers no more than the CPUs (see run_spans),
+    started only after the first report, take the other spans, and they
+    are merged back in order, so
     the stream never depends on scheduling. A range of at most _SIEVE_SPAN
     candidates runs in this process whatever each candidate costs, though
     the ramp cuts it into several spans too.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
-    CriterionReports. encode runs where the span runs, in a worker for a
-    pooled span, so only its results come back to this process; it must
-    pickle, as a module-level function does.
+    CriterionReports. encode runs where the span runs, in a forked worker
+    for a pooled span, so only its results come back to this process, and
+    they must pickle.
     """
     spans = _validated_spans(u_min, u_max)
     workers = operator.index(workers)
@@ -290,18 +295,115 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
 
 def _ignore_sigint() -> None:
     # Ctrl-C reaches the whole process group; only the parent reacts, and
-    # leaving the pool tears the workers down. A worker starts with SIGINT
-    # blocked (see run_spans) and unblocks it only once it is ignored.
+    # leaving the pool kills the workers. A worker starts with SIGINT
+    # blocked (see _Pool.imap) and unblocks it only once it is ignored.
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
+class _Pool:
+    """Forked worker processes for run_spans, each with its own pipe.
+
+    imap(worker, tasks) forks the workers at once: worker k runs tasks k,
+    k + processes, ... and sends each result, or the exception that ends
+    it, as a length-prefixed pickle on its pipe, and the returned iterator
+    reads the results back in task order. Leaving the with block kills and
+    reaps every worker, whether or not all results were read.
+    """
+
+    def __init__(self, processes: int, initializer: Callable) -> None:
+        self._processes = processes
+        self._initializer = initializer
+        self._pids: list[int] = []
+        self._readers: list = []
+
+    def __enter__(self) -> "_Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        import signal
+
+        for reader in self._readers:
+            reader.close()
+        for pid in self._pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def imap(self, worker: Callable, tasks: list) -> Iterator:
+        import signal
+
+        pipes = [os.pipe() for _ in range(self._processes)]
+        self._readers = [open(read, "rb") for read, _ in pipes]
+        # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
+        # the initializer has it ignored. One that comes meanwhile stays
+        # pending here until every worker is forked, and then interrupts
+        # this process, whose with block kills them all.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for k in range(self._processes):
+                pid = os.fork()
+                if pid == 0:
+                    self._work(pipes, k, worker, tasks[k::self._processes])
+                self._pids.append(pid)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for _, write in pipes:
+                os.close(write)
+        return self._results(len(tasks))
+
+    def _work(self, pipes: list, k: int, worker: Callable,
+              tasks: list) -> None:
+        # The forked worker k: it keeps only its own write end open and
+        # ends with os._exit, so it never flushes the stdio buffers it
+        # inherited or runs this process's exit handlers.
+        import pickle
+
+        code = 1
+        try:
+            write = pipes[k][1]
+            for read, other in pipes:
+                os.close(read)
+                if other != write:
+                    os.close(other)
+            self._initializer()
+            for task in tasks:
+                try:
+                    ok, value = True, worker(task)
+                except Exception as exc:
+                    ok, value = False, exc
+                data = pickle.dumps((ok, value))
+                view = memoryview(len(data).to_bytes(8, "little") + data)
+                while view:
+                    view = view[os.write(write, view):]
+                if not ok:
+                    break
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _results(self, count: int) -> Iterator:
+        import pickle
+
+        for i in range(count):
+            k = i % self._processes
+            reader = self._readers[k]
+            head = reader.read(8)
+            size = int.from_bytes(head, "little")
+            data = reader.read(size)
+            if len(head) < 8 or len(data) < size:
+                raise RuntimeError(f"worker process {self._pids[k]} ended "
+                                   f"before sending result {i}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
+
+
 def __getattr__(name: str):
-    # multiprocessing is imported on first access, so only a sieve that
-    # starts a pool loads it. Reading and swapping the module through this
-    # name, as bench/tracing.py does, still reaches run_spans.
+    # No sieve uses multiprocessing; it is imported on first access only
+    # because bench/tracing.py reads and swaps it through this name.
     if name != "multiprocessing":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import multiprocessing
@@ -320,27 +422,18 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     """Yield worker(task) for every task, in task order, as results arrive.
 
     The first task always runs in this process, so its result never waits
-    for a pool; a pool of min(workers, available_parallelism(), len(tasks)
-    - 1) processes takes the rest, and below two every task runs here. Only
-    a pool imports the pool and signal modules. Tasks go one per message,
-    so callers size them; closing the iterator early tears the pool down.
+    for a worker; min(workers, available_parallelism(), len(tasks) - 1)
+    forked workers (_Pool) take the rest, and below two, or where os.fork
+    is missing, every task runs here. Only a pool imports the pickle and
+    signal modules. Each worker runs every size-th task and sends each
+    result as one message, so callers size tasks and results must pickle;
+    an exception in a worker is raised here. Closing the iterator early
+    kills the workers.
     """
     size = min(workers, available_parallelism(), len(tasks) - 1)
-    if size < 2:
+    if size < 2 or not hasattr(os, "fork"):
         yield from map(worker, tasks)
         return
     yield worker(tasks[0])
-    import signal
-
-    Pool = sys.modules[__name__].multiprocessing.Pool
-    # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
-    # _ignore_sigint runs. One that comes meanwhile stays pending in the
-    # parent until the pool is in its with block, which tears it down.
-    # Before the block, a Ctrl-C meets no pool and interrupts at once.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        with Pool(size, _ignore_sigint) as pool:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            yield from pool.imap(worker, tasks[1:])
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    with _Pool(size, _ignore_sigint) as pool:
+        yield from pool.imap(worker, tasks[1:])

@@ -165,8 +165,11 @@ def test_factorize_rejects_out_of_domain():
 
 
 def test_is_prime_matches_trial_division():
-    for n in range(2000):
-        assert is_prime(n) == naive_is_prime(n)
+    # Below 2^16 the answer comes from the prime table, above it from
+    # Miller-Rabin; the seam is checked on both sides.
+    seam = [*range(65000, 66101), 65521, 65536, 65537, 65539]
+    for n in [*range(2000), *seam]:
+        assert is_prime(n) == naive_is_prime(n), n
     assert is_prime(2 ** 61 - 1)
     assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
 

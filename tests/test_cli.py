@@ -308,8 +308,8 @@ def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):
 
 
 class ProbePool:
-    """Stands in for multiprocessing.Pool: records the requested size and
-    runs the tasks in this process, so no worker is ever started."""
+    """Stands in for criterion._Pool: records the requested size and runs
+    the tasks in this process, so no worker is ever started."""
 
     sizes = []
 
@@ -334,8 +334,7 @@ def test_run_spans_runs_too_few_tasks_in_process(monkeypatch, tasks, sizes):
     # for one task left over it gains nothing, and with none it cannot start.
     # Two CPUs, so that a host with one would not run three tasks here too.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
-    monkeypatch.setattr("ryser.criterion.multiprocessing",
-                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
     monkeypatch.setattr(ProbePool, "sizes", [])
     assert list(run_spans(abs, tasks, 2)) == [abs(t) for t in tasks]
     assert ProbePool.sizes == sizes
@@ -346,8 +345,7 @@ def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
     # gets a pool of two, not one per span left (11 up to 4097) or all 64 on
     # a longer range, whose spans are stubbed out to keep this quick.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
-    monkeypatch.setattr("ryser.criterion.multiprocessing",
-                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
     monkeypatch.setattr(ProbePool, "sizes", [])
     reports = list(iter_sieve(1, 4097, workers=64))
     assert [r.n for r in reports] == [4 * u * u for u in range(1, 4098, 2)]
@@ -370,8 +368,7 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
     # would need to each get one.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 1)
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
-    monkeypatch.setattr("ryser.criterion.multiprocessing",
-                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
     monkeypatch.setattr(ProbePool, "sizes", [])
     code, serial, err = run_cli(capsys, *argv, "--threads", "1")
     assert code == 0 and ProbePool.sizes == []
@@ -386,8 +383,7 @@ def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
     # The ramp cuts even a short range into several spans, but a pool pays
     # only beyond _SIEVE_SPAN (1024) candidates.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
-    monkeypatch.setattr("ryser.criterion.multiprocessing",
-                        types.SimpleNamespace(Pool=ProbePool))
+    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
     for u_max, sizes in (("2047", []), ("2049", [3])):
         monkeypatch.setattr(ProbePool, "sizes", [])
         code, serial, err = run_cli(capsys, "sieve", "1", u_max,
@@ -414,8 +410,7 @@ def test_sieve_pool_starts_after_the_first_record(monkeypatch, span, u_max,
         lines_at_pool.append(stdout.getvalue().count("\n"))
         return ProbePool(processes, initializer)
 
-    monkeypatch.setattr("ryser.criterion.multiprocessing",
-                        types.SimpleNamespace(Pool=pool))
+    monkeypatch.setattr("ryser.criterion._Pool", pool)
     monkeypatch.setattr(ProbePool, "sizes", [])
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["sieve", "1", str(u_max), "--threads", "3"]) == 0
@@ -578,7 +573,7 @@ def test_commands_load_no_pool_random_or_typing():
     probe = textwrap.dedent("""
         import sys
         before = set(sys.modules)
-        unwanted = {'multiprocessing', 'signal', 'random', 'typing'}
+        unwanted = {'multiprocessing', 'pickle', 'signal', 'random', 'typing'}
         import ryser.cli
         assert not unwanted & (set(sys.modules) - before), 'import'
         def run(*commands):
@@ -651,29 +646,14 @@ def test_interrupt_exits_quietly():
     assert "ForkPoolWorker" not in err.decode()
 
 
-def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
-    # The first record comes before the pool module is even loaded, so this
-    # is where test_interrupt_exits_quietly's Ctrl-C mostly lands. A stand-in
-    # for the pool module sends it at the last moment before the pool.
-    script = tmp_path / "no_pool_yet.py"
-    script.write_text(textwrap.dedent("""
-        import os, signal, sys, time
-        import ryser.cli
-        import ryser.criterion as criterion
+def run_alone(path, text):
+    """Run the script text from path in its own session, with a timeout.
 
-        class Interrupting:
-            @property
-            def Pool(self):
-                os.kill(os.getpid(), signal.SIGINT)
-                time.sleep(30)
-                raise AssertionError("no KeyboardInterrupt")
-
-        if __name__ == "__main__":
-            criterion.multiprocessing = Interrupting()
-            criterion.available_parallelism = lambda: 2
-            sys.exit(ryser.cli.main(["sieve", "1", "4097", "--threads", "2"]))
-        """))
-    proc = subprocess.Popen([sys.executable, str(script)],
+    Returns the finished process and its stdout and stderr, once the check
+    that no process of its group, such as a worker left behind, is alive.
+    """
+    path.write_text(textwrap.dedent(text))
+    proc = subprocess.Popen([sys.executable, str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
     try:
@@ -682,41 +662,137 @@ def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
-    assert (proc.returncode, err) == (130, "ryser: interrupted\n")
-    assert [json.loads(line)["u"] for line in out.splitlines()] == [1]
     # The script led its own process group, which a worker left behind
     # would keep alive.
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+    return proc, out, err
+
+
+def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
+    # The first record comes before any worker is forked, so this is where
+    # test_interrupt_exits_quietly's Ctrl-C mostly lands. A stand-in for the
+    # pool sends it at the last moment before the pool.
+    proc, out, err = run_alone(tmp_path / "no_pool_yet.py", """
+        import os, signal, sys, time
+        import ryser.cli
+        import ryser.criterion as criterion
+
+        def interrupting(processes, initializer):
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(30)
+            raise AssertionError("no KeyboardInterrupt")
+
+        if __name__ == "__main__":
+            criterion._Pool = interrupting
+            criterion.available_parallelism = lambda: 2
+            sys.exit(ryser.cli.main(["sieve", "1", "4097", "--threads", "2"]))
+        """)
+    assert (proc.returncode, err) == (130, "ryser: interrupted\n")
+    assert [json.loads(line)["u"] for line in out.splitlines()] == [1]
 
 
 def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
     # An initializer that runs late widens the gap between a worker's fork
-    # and _ignore_sigint; a Ctrl-C sent inside that gap must reach no worker.
-    script = tmp_path / "late_pool.py"
-    script.write_text(textwrap.dedent("""
-        import os, signal, sys, time, types
+    # and _ignore_sigint, and the Ctrl-C is sent to the process group inside
+    # that gap. The parent keeps it pending, so the sieve runs to its end
+    # unless a worker took it and stopped with KeyboardInterrupt. The
+    # script exits 130, as the CLI does after a Ctrl-C, once every check
+    # has passed.
+    proc, out, err = run_alone(tmp_path / "late_pool.py", """
+        import os, signal, sys, time
         import ryser.criterion as criterion
 
         def late(initializer):
             time.sleep(0.3)
             initializer()
 
-        if __name__ == "__main__":
-            real = criterion.multiprocessing
+        class LatePool(criterion._Pool):
+            def __init__(self, processes, initializer):
+                super().__init__(processes, lambda: late(initializer))
 
-            def pool(processes, initializer):
-                started = real.Pool(processes, late, (initializer,))
+            def imap(self, worker, tasks):
+                results = super().imap(worker, tasks)
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 os.killpg(0, signal.SIGINT)
-                return started
+                return results
 
-            criterion.multiprocessing = types.SimpleNamespace(Pool=pool)
+        if __name__ == "__main__":
+            serial = list(criterion.iter_sieve(1, 4097, workers=1))
+            criterion._Pool = LatePool
             criterion.available_parallelism = lambda: 2
-            try:
-                list(criterion.iter_sieve(1, 4097, workers=2))
-            except KeyboardInterrupt:
-                sys.exit(130)
+            assert list(criterion.iter_sieve(1, 4097, workers=2)) == serial
+            assert signal.SIGINT in signal.sigpending()
+            sys.exit(130)
+        """)
+    assert (proc.returncode, err) == (130, "")
+
+
+# The pool's failure paths, each run by run_alone: run_spans on six tasks
+# and two workers forks worker 0 for tasks 1, 3 and 5 and worker 1 for
+# tasks 2 and 4, after task 0 has run in the calling process.
+POOL_SCRIPT = """
+    import os, signal, sys, time
+    import ryser.criterion as criterion
+
+    class SpanError(Exception):
+        pass
+
+    def worker(task):
+        {}
+        return task, os.getpid()
+
+    if __name__ == "__main__":
+        criterion.available_parallelism = lambda: 2
+        results = criterion.run_spans(worker, list(range(6)), 2)
+        {}
+    """
+
+
+def test_pool_worker_exception_reaches_the_parent(tmp_path):
+    proc, out, err = run_alone(tmp_path / "raises.py", POOL_SCRIPT.format(
+        "if task == 3: raise SpanError(f'span {task} failed', task)", """
+        seen = []
+        try:
+            for task, _ in results:
+                seen.append(task)
+        except SpanError as exc:
+            assert exc.args == ('span 3 failed', 3), exc.args
+            assert seen == [0, 1, 2], seen
+            print('raised')
         """))
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, timeout=60, start_new_session=True)
-    assert (proc.returncode, proc.stderr) == (130, "")
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_worker_killed_makes_the_parent_raise(tmp_path):
+    # Worker 1 is still at task 4 when worker 0 dies, so the parent sees the
+    # end of worker 0's pipe only if worker 1 closed its copy of that pipe.
+    proc, out, err = run_alone(tmp_path / "killed.py", POOL_SCRIPT.format(
+        "if task == 3: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "        if task == 4: time.sleep(60)", """
+        seen = []
+        try:
+            for task, _ in results:
+                seen.append(task)
+        except RuntimeError as exc:
+            assert 'before sending result 2' in str(exc), exc
+            assert seen == [0, 1, 2], seen
+            print('raised')
+        """))
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_closed_early_leaves_no_worker(tmp_path):
+    # Tasks past 2 would keep their worker alive for a minute.
+    proc, out, err = run_alone(tmp_path / "closed.py", POOL_SCRIPT.format(
+        "if task > 2: time.sleep(60)", """
+        assert next(results) == (0, os.getpid())
+        task, pid = next(results)
+        assert task == 1 and pid != os.getpid()
+        results.close()
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print('none left')
+        """))
+    assert (proc.returncode, out, err) == (0, "none left\n", "")

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -200,6 +201,17 @@ def test_theorem_witnesses_refuses_pairs_out_of_order():
     for u, primes in ((15, ((5, 1), (3, 1))), (9, ((3, 1), (3, 1))),
                       (15, ((3, 1), (5, 1), (7, 0))), (9, ((3, 2), (5, 0)))):
         with pytest.raises(ValueError, match="strictly ascending"):
+            theorem_witnesses(u, primes=primes)
+
+
+def test_theorem_witnesses_refuses_primes_below_two():
+    # 1 passes the order, exponent and product checks, so only the bound on
+    # the first prime stops it before factorize(1 - 1) would.
+    for u, primes in ((3, ((1, 1), (3, 1))), (1, ((1, 1),)),
+                      (3, ((0, 1), (3, 1))), (3, ((-1, 2), (3, 1)))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the pairs {primes} are not strictly ascending primes "
+                "above 1")):
             theorem_witnesses(u, primes=primes)
 
 
@@ -485,21 +497,24 @@ def test_first_report_needs_only_the_first_span(monkeypatch):
 
 def test_pool_module_loads_only_for_a_pooled_sieve():
     # u up to 4097 is 2049 candidates, more than one full span, so two
-    # workers start a real pool, with two CPUs patched in for a host that
-    # has fewer, but only after the first report, which this process
-    # computes.
+    # workers fork, with two CPUs patched in for a host that has fewer, but
+    # only after the first report, which this process computes. The pool's
+    # modules are pickle and signal; no sieve loads multiprocessing, which
+    # criterion.multiprocessing still imports when read.
     probe = textwrap.dedent("""
         import sys
         before = set(sys.modules)
         import ryser.criterion as criterion
         criterion.available_parallelism = lambda: 2
+        pool = {'pickle', 'signal', 'multiprocessing'}
         serial = list(criterion.iter_sieve(1, 4097, workers=1))
-        assert 'multiprocessing' not in set(sys.modules) - before
+        assert not pool & (set(sys.modules) - before)
         pooled = criterion.iter_sieve(1, 4097, workers=2)
         assert next(pooled) == serial[0] and serial[0].n == 4
-        assert 'multiprocessing' not in set(sys.modules) - before
+        assert not pool & (set(sys.modules) - before)
         assert list(pooled) == serial[1:]
-        assert 'multiprocessing' in sys.modules
+        assert {'pickle', 'signal'} <= set(sys.modules)
+        assert 'multiprocessing' not in sys.modules
         assert criterion.multiprocessing is sys.modules['multiprocessing']
         assert not hasattr(criterion, 'no_such_name')
         """)
