@@ -270,10 +270,10 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     runs in this process. With several workers and more than _SIEVE_SPAN
     candidates, forked workers no more than the CPUs (see run_spans),
     started only after the first report, take the other spans, and they
-    are merged back in order, so
-    the stream never depends on scheduling. A range of at most _SIEVE_SPAN
-    candidates runs in this process whatever each candidate costs, though
-    the ramp cuts it into several spans too.
+    are merged back in order, so the stream never depends on scheduling.
+    A range of at most _SIEVE_SPAN candidates runs in this process
+    whatever each candidate costs, though the ramp cuts it into several
+    spans too.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
