@@ -332,6 +332,8 @@ class _Pool:
             os.waitpid(pid, 0)
 
     def imap(self, worker: Callable, tasks: list) -> Iterator:
+        # pickle loads here, before the forks, so that no worker imports it.
+        import pickle  # noqa: F401
         import signal
 
         pipes = [os.pipe() for _ in range(self._processes)]
@@ -357,11 +359,12 @@ class _Pool:
               tasks: list) -> None:
         # The forked worker k: it keeps only its own write end open and
         # ends with os._exit, so it never flushes the stdio buffers it
-        # inherited or runs this process's exit handlers.
-        import pickle
-
+        # inherited or runs this process's exit handlers, and no exception
+        # leaves it for the caller's code.
         code = 1
         try:
+            import pickle
+
             write = pipes[k][1]
             for read, other in pipes:
                 os.close(read)
