@@ -3,9 +3,9 @@ exhaustive searches.
 
 All reports go to stdout and are deterministic for identical inputs
 (timing_ms aside); diagnostics go to stderr. Exit codes: 0 for a computed
-verdict, 2 for usage or parse errors, 3 for NOT_APPLICABLE, 4 when an
-internal guard such as the sieve cap trips, 130 when interrupted by Ctrl-C
-and 141 when the reader of stdout goes away.
+verdict, 1 when a sieve's worker pool fails, 2 for usage or parse errors, 3
+for NOT_APPLICABLE, 4 when an internal guard such as the sieve cap trips,
+130 when interrupted by Ctrl-C and 141 when the reader of stdout goes away.
 """
 
 import argparse
@@ -22,11 +22,12 @@ from .circulant import (SignRow, is_circulant_hadamard,
                         periodic_autocorrelation, search_all, spectrum)
 from .criterion import (CriterionReport, Verdict, WitnessRecord,
                         available_parallelism, check_order, iter_sieve)
-from .errors import LengthTooLarge, OrderTooLarge, RangeTooLarge
+from .errors import LengthTooLarge, OrderTooLarge, PoolFailed, RangeTooLarge
 
 SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
+EXIT_POOL_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_APPLICABLE = 3
 EXIT_GUARD = 4
@@ -197,12 +198,9 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         blocks = iter_sieve(args.u_min, args.u_max,
                             workers=args.threads or available_parallelism(),
                             encode=functools.partial(_sieve_block, record))
-    except RangeTooLarge as exc:
+    except ValueError as exc:  # RangeTooLarge is one too
         print(f"ryser: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except ValueError as exc:
-        print(f"ryser: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_GUARD if isinstance(exc, RangeTooLarge) else EXIT_USAGE
 
     total, survivors = 0, []
     if args.format == "csv":
@@ -312,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("ryser: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except PoolFailed as exc:
+        print(f"ryser: {exc}", file=sys.stderr)
+        return EXIT_POOL_FAILED
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from enum import Enum
 
 from .arith import (MAX_INPUT, _factor_odd_span, _prime_power_order, factorize,
                     multiplicative_order)
-from .errors import NotCandidateForm, RangeTooLarge
+from .errors import NotCandidateForm, PoolFailed, RangeTooLarge
 
 # Most candidates one sieve takes; a longer range raises RangeTooLarge.
 DEFAULT_SIEVE_CAP = 10 ** 7
@@ -48,10 +48,9 @@ DEFAULT_SIEVE_CAP = 10 ** 7
 # Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
 MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
-# Largest number of candidates in one sieve task; large enough that task
-# dispatch never dominates. Spans ramp up to it from one candidate, so the
-# first records stream out before a full span is done. The first span always
-# runs in the calling process, before any pool starts; a pool takes the rest.
+# Candidates in one sieve task, large enough that task dispatch never
+# dominates. Only the first span is shorter: one candidate, run in the
+# calling process before any pool starts, so the first record needs no more.
 _SIEVE_SPAN = 1024
 
 # theorem_witnesses' bounded per-process cache, shared by all its calls. It
@@ -249,13 +248,8 @@ def _validated_spans(u_min: int, u_max: int) -> list[tuple[int, int]]:
     if count > DEFAULT_SIEVE_CAP:
         raise RangeTooLarge(f"{count} candidates exceed the sieve cap of "
                             f"{DEFAULT_SIEVE_CAP}")
-    spans = []
-    lo, size = u_min, 1
-    while lo <= u_max:
-        hi = min(lo + 2 * size, u_max + 1)
-        spans.append((lo, hi))
-        lo, size = hi, min(2 * size, _SIEVE_SPAN)
-    return spans
+    bounds = [u_min, *range(u_min + 2, u_max + 1, 2 * _SIEVE_SPAN), u_max + 1]
+    return list(zip(bounds, bounds[1:]))
 
 
 def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
@@ -264,16 +258,11 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
 
     The bounds, checked as theorem_witnesses checks u, the cap of
     DEFAULT_SIEVE_CAP candidates and workers, a positive integer, are
-    validated eagerly; the returned iterator only computes. The range is
-    cut into spans of 1, 2, 4, ... candidates, up to _SIEVE_SPAN, so the
-    first report needs only the first candidate. The first span always
-    runs in this process. With several workers and more than _SIEVE_SPAN
-    candidates, forked workers no more than the CPUs (see run_spans),
-    started only after the first report, take the other spans, and they
-    are merged back in order, so the stream never depends on scheduling.
-    A range of at most _SIEVE_SPAN candidates runs in this process
-    whatever each candidate costs, though the ramp cuts it into several
-    spans too.
+    validated eagerly; the returned iterator only computes. The first span
+    is the first candidate alone, so the first report waits for no other,
+    and each later one holds _SIEVE_SPAN candidates, the last perhaps fewer.
+    run_spans runs the first in this process and may fork workers for the
+    rest, merged back in order, so the stream never depends on scheduling.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
@@ -286,8 +275,6 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     _memo.clear()
-    if u_max - u_min < 2 * _SIEVE_SPAN:  # at most _SIEVE_SPAN candidates
-        workers = 1
     blocks = run_spans(functools.partial(_sieve_span, encode=encode), spans,
                        workers)
     return itertools.chain.from_iterable(blocks) if encode is None else blocks
@@ -336,26 +323,31 @@ class _Pool:
         import pickle  # noqa: F401
         import signal
 
-        pipes = [os.pipe() for _ in range(self._processes)]
-        self._readers = [open(read, "rb") for read, _ in pipes]
         # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
         # the initializer has it ignored. One that comes meanwhile stays
         # pending here until every worker is forked, and then interrupts
         # this process, whose with block kills them all.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        writers: list[int] = []
         try:
+            for _ in range(self._processes):
+                read, write = os.pipe()
+                self._readers.append(open(read, "rb"))
+                writers.append(write)
             for k in range(self._processes):
                 pid = os.fork()
                 if pid == 0:
-                    self._work(pipes, k, worker, tasks[k::self._processes])
+                    self._work(writers, k, worker, tasks[k::self._processes])
                 self._pids.append(pid)
+        except OSError as exc:
+            raise PoolFailed(f"could not start a worker: {exc}") from exc
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            for _, write in pipes:
+            for write in writers:
                 os.close(write)
         return self._results(len(tasks))
 
-    def _work(self, pipes: list, k: int, worker: Callable,
+    def _work(self, writers: list, k: int, worker: Callable,
               tasks: list) -> None:
         # The forked worker k: it keeps only its own write end open and
         # ends with os._exit, so it never flushes the stdio buffers it
@@ -365,9 +357,9 @@ class _Pool:
         try:
             import pickle
 
-            write = pipes[k][1]
-            for read, other in pipes:
-                os.close(read)
+            write = writers[k]
+            for reader, other in zip(self._readers, writers):
+                reader.close()
                 if other != write:
                     os.close(other)
             self._initializer()
@@ -396,8 +388,8 @@ class _Pool:
             size = int.from_bytes(head, "little")
             data = reader.read(size)
             if len(head) < 8 or len(data) < size:
-                raise RuntimeError(f"worker process {self._pids[k]} ended "
-                                   f"before sending result {i}")
+                raise PoolFailed(f"worker process {self._pids[k]} ended "
+                                 f"before sending result {i}")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
@@ -429,9 +421,10 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     forked workers (_Pool) take the rest, and below two, or where os.fork
     is missing, every task runs here. Only a pool imports the pickle and
     signal modules. Each worker runs every size-th task and sends each
-    result as one message, so callers size tasks and results must pickle;
-    an exception in a worker is raised here. Closing the iterator early
-    kills the workers.
+    result as one message, so callers size tasks and results must pickle.
+    An exception in a worker is raised here, and PoolFailed when a pipe or
+    fork fails or a worker dies. Closing the iterator early kills the
+    workers.
     """
     size = min(workers, available_parallelism(), len(tasks) - 1)
     if size < 2 or not hasattr(os, "fork"):

@@ -18,6 +18,10 @@ class RangeTooLarge(ValueError):
     """Sieve range exceeds the configured cap."""
 
 
+class PoolFailed(RuntimeError):
+    """A worker pool could not start a worker, or one ended too early."""
+
+
 class OrderTooLarge(ValueError):
     """Circulant search order outside the hard guard."""
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -264,10 +265,12 @@ class FlushCounter(io.StringIO):
 @pytest.mark.parametrize("fmt, first", [("json-lines", 1), ("csv", 2)])
 def test_sieve_flushes_every_record(monkeypatch, fmt, first):
     # A piped stdout is block-buffered, so a record reaches its reader as
-    # soon as its span is computed only if the sieve flushes the span. Up to
-    # 9 the spans hold 1, 2 and 2 candidates, so the flushes fall exactly at
-    # their ends, after the CSV header if there is one; the last flush is
-    # main's, after the JSON summary line or the CSV summary on stderr.
+    # soon as its span is computed only if the sieve flushes the span. With
+    # full spans of 2, the spans up to 9 hold 1, 2 and 2 candidates, so the
+    # flushes fall exactly at their ends, after the CSV header if there is
+    # one; the last flush is main's, after the JSON summary line or the CSV
+    # summary on stderr.
+    monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 2)
     stdout = FlushCounter()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["sieve", "1", "9", "--threads", "1", "--format", fmt]) == 0
@@ -342,8 +345,8 @@ def test_run_spans_runs_too_few_tasks_in_process(monkeypatch, tasks, sizes):
 
 def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
     # Not only the CLI's: a library caller asking for 64 workers on two CPUs
-    # gets a pool of two, not one per span left (11 up to 4097) or all 64 on
-    # a longer range, whose spans are stubbed out to keep this quick.
+    # gets a pool of two, not all 64 on a range of 98 spans after the first,
+    # whose spans are stubbed out to keep this quick.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
     monkeypatch.setattr(ProbePool, "sizes", [])
@@ -353,7 +356,7 @@ def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
                         lambda span, encode=None: [span])
     spans = list(iter_sieve(1, 200001, workers=64))
     assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
-    assert (spans[0][0], spans[-1][1], len(spans)) == (1, 200002, 107)
+    assert (spans[0][0], spans[-1][1], len(spans)) == (1, 200002, 99)
     assert ProbePool.sizes == [2, 2]
 
 
@@ -380,11 +383,13 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
 
 
 def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
-    # The ramp cuts even a short range into several spans, but a pool pays
-    # only beyond _SIEVE_SPAN (1024) candidates.
+    # Up to 1 + _SIEVE_SPAN (1025) candidates are two spans, and run_spans
+    # runs the first in this process, so a pool would get only one; one
+    # candidate more makes a third span, and a pool of two takes the last
+    # two spans.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
-    for u_max, sizes in (("2047", []), ("2049", [3])):
+    for u_max, sizes in (("2049", []), ("2051", [2])):
         monkeypatch.setattr(ProbePool, "sizes", [])
         code, serial, err = run_cli(capsys, "sieve", "1", u_max,
                                     "--threads", "1")
@@ -395,12 +400,12 @@ def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
         assert out == serial
 
 
-@pytest.mark.parametrize("span, u_max, size", [(1024, 4097, 3), (2, 9, 2)])
+@pytest.mark.parametrize("span, u_max, size", [(1024, 8193, 3), (2, 9, 2)])
 def test_sieve_pool_starts_after_the_first_record(monkeypatch, span, u_max,
                                                   size):
     # The first span runs in this process, and the pool is sized for the
-    # spans left: 11 of 12 up to 4097, but only 2 of 3 (1, 2 and 2
-    # candidates) up to 9 with spans of at most 2.
+    # spans left, at most the 3 CPUs: 4 of 5 up to 8193, but only 2 of 3
+    # (1, 2 and 2 candidates) up to 9 with spans of at most 2.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", span)
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
     stdout = io.StringIO()
@@ -473,11 +478,11 @@ def test_every_search_prints_its_pinned_bytes(capsys, kind, top, digest):
 
 
 def test_sieve_output_matches_the_benchmark_references(capsys, monkeypatch):
-    # The deep window sieves u near 10^9 in short spans, whose segmented
-    # pass walks every odd prime up to the square root of the span's end and
-    # leaves prime cofactors above it. The shallow window's 10,001
-    # candidates, prime powers among them, fill 19 spans, which two workers
-    # pool on any host.
+    # The deep window sieves u near 10^9 in a span of one candidate and one
+    # of 39, whose segmented pass walks every odd prime up to the square
+    # root of the span's end and leaves prime cofactors above it. The
+    # shallow window's 10,001 candidates, prime powers among them, fill 11
+    # spans, which two workers pool on any host.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
     assert_matches_the_benchmark_references(
         capsys, ("sieve", "1", "145"), ("sieve", "1000000001", "1000000079"))
@@ -642,8 +647,7 @@ def test_interrupt_exits_quietly():
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert proc.returncode == 130
-    assert "Traceback" not in err.decode()
-    assert "ForkPoolWorker" not in err.decode()
+    assert err.decode() == "ryser: interrupted\n"
 
 
 def run_alone(path, text):
@@ -734,6 +738,7 @@ def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
 POOL_SCRIPT = """
     import os, signal, sys, time
     import ryser.criterion as criterion
+    from ryser.errors import PoolFailed
 
     class SpanError(Exception):
         pass
@@ -774,7 +779,7 @@ def test_pool_worker_killed_makes_the_parent_raise(tmp_path):
         try:
             for task, _ in results:
                 seen.append(task)
-        except RuntimeError as exc:
+        except PoolFailed as exc:
             assert 'before sending result 2' in str(exc), exc
             assert seen == [0, 1, 2], seen
             print('raised')
@@ -796,3 +801,94 @@ def test_pool_closed_early_leaves_no_worker(tmp_path):
             print('none left')
         """))
     assert (proc.returncode, out, err) == (0, "none left\n", "")
+
+
+def test_pool_pipe_failure_closes_the_pipes_and_chains_its_cause(tmp_path):
+    # os.pipe fails on its second call, when the first pipe is open.
+    proc, out, err = run_alone(tmp_path / "pipe.py", POOL_SCRIPT.format(
+        "pass", """
+        import errno
+        error = OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        pipe, calls = os.pipe, []
+
+        def failing():
+            calls.append(None)
+            if len(calls) == 2:
+                raise error
+            return pipe()
+
+        os.pipe = failing
+        fds = sorted(os.listdir('/proc/self/fd'))
+        assert next(results) == (0, os.getpid())
+        try:
+            next(results)
+        except PoolFailed as exc:
+            assert exc.__cause__ is error, exc.__cause__
+            assert sorted(os.listdir('/proc/self/fd')) == fds
+            print('raised')
+        """))
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+# ryser sieve 1 4097 --threads 2 on two CPUs, with a pool failure patched
+# in: its spans are (1, 3) in this process, then (3, 2051) for worker 0 and
+# (2051, 4098) for worker 1. The script checks that main leaves no file
+# descriptor open behind it.
+CLI_POOL_SCRIPT = """
+    import errno, os, signal, sys
+    import ryser.cli
+    import ryser.criterion as criterion
+
+    def failing(call, k, code):
+        calls = []
+
+        def patched():
+            calls.append(None)
+            if len(calls) == k:
+                raise OSError(code, os.strerror(code))
+            return call()
+
+        return patched
+
+    sieve_span = criterion._sieve_span
+
+    def dying(span, encode=None):
+        if span[0] == 2051:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sieve_span(span, encode)
+
+    if __name__ == "__main__":
+        criterion.available_parallelism = lambda: 2
+        fds = sorted(os.listdir("/proc/self/fd"))
+        {}
+        code = ryser.cli.main(["sieve", "1", "4097", "--threads", "2"])
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        sys.exit(code)
+    """
+
+
+def not_started(code):
+    return re.escape(f"could not start a worker: [Errno {code}] "
+                     f"{os.strerror(code)}")
+
+
+@pytest.mark.parametrize("patch, u_max, message", [
+    ("os.fork = failing(os.fork, 1, errno.EAGAIN)", 1,
+     not_started(errno.EAGAIN)),
+    ("os.fork = failing(os.fork, 2, errno.EAGAIN)", 1,
+     not_started(errno.EAGAIN)),
+    ("os.pipe = failing(os.pipe, 2, errno.EMFILE)", 1,
+     not_started(errno.EMFILE)),
+    ("criterion._sieve_span = dying", 2049,
+     r"worker process \d+ ended before sending result 1"),
+], ids=["first fork", "second fork", "second pipe", "worker dies"])
+def test_pool_failure_is_one_line_and_exit_1(tmp_path, patch, u_max,
+                                             message):
+    # The records of the spans read before the failure stay on stdout; no
+    # summary follows them, and no traceback.
+    proc, out, err = run_alone(tmp_path / "failing.py",
+                               CLI_POOL_SCRIPT.format(patch))
+    assert proc.returncode == 1, err
+    assert re.fullmatch(f"ryser: {message}\n", err), err
+    assert ([json.loads(line)["u"] for line in out.splitlines()]
+            == list(range(1, u_max + 1, 2)))

@@ -273,7 +273,7 @@ def test_the_shared_memo_never_changes_a_report(monkeypatch):
     # it keeps any pair order mod 81, the modulus of 3^2, and 21 keeps a
     # wrong order of 2 mod 441, a modulus no prime has. Then with seeded
     # random u. Sieve seeded windows through it, without iter_sieve's
-    # clear: short ones in this process, and one of more than _SIEVE_SPAN
+    # clear: short ones in this process, and one of more than 1 + _SIEVE_SPAN
     # candidates on two workers, so that a real pool forks with the filled
     # memo; two CPUs are patched in, so it does on any host. That window
     # lies below 10^6, where most pair orders are memo hits.
@@ -468,19 +468,24 @@ def test_sieve_encodes_each_record_where_its_span_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("u_min, u_max", [
-    (1, 1), (1, 3), (1, 2045), (1, 2047), (1, 2049), (1, 20001),
+    (1, 1), (1, 3), (1, 2045), (1, 2047), (1, 2049), (1, 2051), (1, 20001),
     (MAX_SIEVE_BOUND - 2 * 2999, MAX_SIEVE_BOUND),
-], ids=["1", "2", "1023", "1024", "1025", "10001", "ceiling"])
+], ids=["1", "2", "1023", "1024", "1025", "1026", "10001", "ceiling"])
 def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
+    # The spans go from one candidate straight up to full ones: the first
+    # holds u_min alone, each other one _SIEVE_SPAN candidates but the
+    # last, which may hold fewer.
     spans = _validated_spans(u_min, u_max)
     assert spans[0][0] == u_min and spans[-1][1] == u_max + 1
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     assert ([u for lo, hi in spans for u in range(lo, hi, 2)]
             == list(range(u_min, u_max + 1, 2)))
     sizes = [len(range(lo, hi, 2)) for lo, hi in spans]
-    ramp = [min(2 ** i, _SIEVE_SPAN) for i in range(len(sizes))]
-    assert sizes[:-1] == ramp[:-1]
-    assert 1 <= sizes[-1] <= ramp[-1]
+    count = (u_max - u_min) // 2 + 1
+    assert len(spans) == 1 + -(-(count - 1) // _SIEVE_SPAN)
+    assert sizes[0] == 1
+    assert sizes[1:-1] == [_SIEVE_SPAN] * (len(sizes) - 2)
+    assert 1 <= sizes[-1] <= _SIEVE_SPAN
 
 
 def test_first_report_needs_only_the_first_span(monkeypatch):
