@@ -71,8 +71,8 @@ def test_factorize_matches_the_oracle_around_the_table_edges():
         assert factorize(n) == tuple(naive_factor(n)), n
 
 
-# The sieve's first span, then spans of 1024 odd u, as full ones hold, at
-# each depth it reaches, the last one ending at the ceiling.
+# The sieve's first span, and spans of 1024 odd u, the length of its full
+# spans, at each depth it reaches, the last one ending at the ceiling.
 SIEVE_SPANS = [(1, 3), (1, 2049), (20001, 22049), (10 ** 6 + 1, 10 ** 6 + 2049),
                (10 ** 9 + 1, 10 ** 9 + 2049),
                (MAX_SIEVE_BOUND - 2046, MAX_SIEVE_BOUND + 1)]
