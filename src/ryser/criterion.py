@@ -282,93 +282,43 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
 
 def _ignore_sigint() -> None:
     # Ctrl-C reaches the whole process group; only the parent reacts, and
-    # leaving the pool kills the workers. A worker starts with SIGINT
-    # blocked (see _Pool.imap) and unblocks it only once it is ignored.
+    # closing the pool kills the workers. A worker starts with SIGINT
+    # blocked (see _pool) and unblocks it only once it is ignored.
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
-class _Pool:
-    """Forked worker processes for run_spans, each with its own pipe.
+def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
+    """Yield worker(task) for every task, in task order, from forked workers.
 
-    imap(worker, tasks) forks the workers at once: worker k runs tasks k,
-    k + processes, ... and sends each result, or the exception that ends
-    it, as a length-prefixed pickle on its pipe, and the returned iterator
-    reads the results back in task order. Leaving the with block kills and
-    reaps every worker, whether or not all results were read.
+    Worker k runs tasks k, k + processes, ... and sends each result, or the
+    exception that ends it, as a length-prefixed pickle on its own pipe.
+    However the iteration ends, every worker is killed and reaped.
     """
+    # pickle loads here, before the forks, so that no worker imports it.
+    import pickle
+    import signal
 
-    def __init__(self, processes: int, initializer: Callable) -> None:
-        self._processes = processes
-        self._initializer = initializer
-        self._pids: list[int] = []
-        self._readers: list = []
-
-    def __enter__(self) -> "_Pool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        import signal
-
-        for reader in self._readers:
-            reader.close()
-        for pid in self._pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-    def imap(self, worker: Callable, tasks: list) -> Iterator:
-        # pickle loads here, before the forks, so that no worker imports it.
-        import pickle  # noqa: F401
-        import signal
-
-        # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
-        # the initializer has it ignored. One that comes meanwhile stays
-        # pending here until every worker is forked, and then interrupts
-        # this process, whose with block kills them all.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        writers: list[int] = []
-        try:
-            for _ in range(self._processes):
-                read, write = os.pipe()
-                self._readers.append(open(read, "rb"))
-                writers.append(write)
-            for k in range(self._processes):
-                pid = os.fork()
-                if pid == 0:
-                    self._work(writers, k, worker, tasks[k::self._processes])
-                self._pids.append(pid)
-        except OSError as exc:
-            raise PoolFailed(f"could not start a worker: {exc}") from exc
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            for write in writers:
-                os.close(write)
-        return self._results(len(tasks))
-
-    def _work(self, writers: list, k: int, worker: Callable,
-              tasks: list) -> None:
+    def work(k: int) -> None:
         # The forked worker k: it keeps only its own write end open and
         # ends with os._exit, so it never flushes the stdio buffers it
         # inherited or runs this process's exit handlers, and no exception
         # leaves it for the caller's code.
         code = 1
         try:
-            import pickle
-
             write = writers[k]
-            for reader, other in zip(self._readers, writers):
+            for reader, other in zip(readers, writers):
                 reader.close()
                 if other != write:
                     os.close(other)
-            self._initializer()
-            for task in tasks:
+            _ignore_sigint()
+            for task in tasks[k::processes]:
                 try:
-                    ok, value = True, worker(task)
+                    ok, data = True, pickle.dumps((True, worker(task)))
                 except Exception as exc:
-                    ok, value = False, exc
-                data = pickle.dumps((ok, value))
+                    ok, data = False, pickle.dumps((False, exc))
                 view = memoryview(len(data).to_bytes(8, "little") + data)
                 while view:
                     view = view[os.write(write, view):]
@@ -378,22 +328,49 @@ class _Pool:
         finally:
             os._exit(code)
 
-    def _results(self, count: int) -> Iterator:
-        import pickle
-
-        for i in range(count):
-            k = i % self._processes
-            reader = self._readers[k]
-            head = reader.read(8)
+    readers: list = []
+    writers: list[int] = []
+    pids: list[int] = []
+    # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
+    # _ignore_sigint has it ignored. One that comes meanwhile stays pending
+    # here until every worker is forked and every write end closed, and
+    # then interrupts this process, whose outer finally kills them all.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            for _ in range(processes):
+                read, write = os.pipe()
+                readers.append(open(read, "rb"))
+                writers.append(write)
+            for k in range(processes):
+                pid = os.fork()
+                if pid == 0:
+                    work(k)
+                pids.append(pid)
+        except OSError as exc:
+            raise PoolFailed(f"could not start a worker: {exc}") from exc
+        finally:
+            for write in writers:
+                os.close(write)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for i in range(len(tasks)):
+            k = i % processes
+            head = readers[k].read(8)
             size = int.from_bytes(head, "little")
-            data = reader.read(size)
+            data = readers[k].read(size)
             if len(head) < 8 or len(data) < size:
-                raise PoolFailed(f"worker process {self._pids[k]} ended "
-                                 f"before sending result {i}")
+                raise PoolFailed(f"worker process {pids[k]} ended before "
+                                 f"sending result {i}")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
             yield value
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def __getattr__(name: str):
@@ -418,18 +395,17 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
 
     The first task always runs in this process, so its result never waits
     for a worker; min(workers, available_parallelism(), len(tasks) - 1)
-    forked workers (_Pool) take the rest, and below two, or where os.fork
+    forked workers (_pool) take the rest, and below two, or where os.fork
     is missing, every task runs here. Only a pool imports the pickle and
     signal modules. Each worker runs every size-th task and sends each
     result as one message, so callers size tasks and results must pickle.
-    An exception in a worker is raised here, and PoolFailed when a pipe or
-    fork fails or a worker dies. Closing the iterator early kills the
-    workers.
+    An exception in a worker, or the error from pickling its result, is
+    raised here with its own type, and PoolFailed when a pipe or fork
+    fails or a worker dies. Closing the iterator early kills the workers.
     """
     size = min(workers, available_parallelism(), len(tasks) - 1)
     if size < 2 or not hasattr(os, "fork"):
         yield from map(worker, tasks)
         return
     yield worker(tasks[0])
-    with _Pool(size, _ignore_sigint) as pool:
-        yield from pool.imap(worker, tasks[1:])
+    yield from _pool(worker, tasks[1:], size)

@@ -13,6 +13,11 @@ class NotCandidateForm(ValueError):
         self.n = n
         self.reason = reason
 
+    def __reduce__(self):
+        # args holds only the message, so the default reduce could not
+        # rebuild this error, as a pooled worker's pickle must.
+        return type(self), (self.n, self.reason), self.__dict__
+
 
 class RangeTooLarge(ValueError):
     """Sieve range exceeds the configured cap."""

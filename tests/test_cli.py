@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ryser import criterion
+from ryser import criterion, errors
 from ryser.cli import (_csv_record, _json_record, _sieve_block, _witness_dict,
                        main)
 from ryser.criterion import (MAX_SIEVE_BOUND, Verdict, _sieve_span,
@@ -310,23 +311,14 @@ def test_sieve_byte_identical_across_thread_counts(capsys, monkeypatch):
     assert outs[0] == outs[1]
 
 
-class ProbePool:
-    """Stands in for criterion._Pool: records the requested size and runs
+def probe_pool(worker, tasks, processes):
+    """Stands in for criterion._pool: records the requested size and runs
     the tasks in this process, so no worker is ever started."""
+    probe_pool.sizes.append(processes)
+    return map(worker, tasks)
 
-    sizes = []
 
-    def __init__(self, processes, initializer=None):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, worker, tasks):
-        return map(worker, tasks)
+probe_pool.sizes = []
 
 
 @pytest.mark.parametrize("tasks, sizes", [
@@ -337,10 +329,29 @@ def test_run_spans_runs_too_few_tasks_in_process(monkeypatch, tasks, sizes):
     # for one task left over it gains nothing, and with none it cannot start.
     # Two CPUs, so that a host with one would not run three tasks here too.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
-    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
-    monkeypatch.setattr(ProbePool, "sizes", [])
+    monkeypatch.setattr("ryser.criterion._pool", probe_pool)
+    monkeypatch.setattr(probe_pool, "sizes", [])
     assert list(run_spans(abs, tasks, 2)) == [abs(t) for t in tasks]
-    assert ProbePool.sizes == sizes
+    assert probe_pool.sizes == sizes
+
+
+def test_run_spans_without_fork_runs_every_task_in_process(monkeypatch):
+    monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
+    monkeypatch.setattr("ryser.criterion._pool", probe_pool)
+    monkeypatch.setattr(probe_pool, "sizes", [])
+    monkeypatch.delattr(os, "fork")
+    assert list(run_spans(abs, [-1, -2, -3, -4], 2)) == [1, 2, 3, 4]
+    assert probe_pool.sizes == []
+
+
+@pytest.mark.parametrize("cpus, width", [(5, 5), (None, 1)])
+def test_available_parallelism_without_affinity_counts_cpus(monkeypatch,
+                                                            cpus, width):
+    # Where os.sched_getaffinity is missing, os.cpu_count() stands in, and
+    # one CPU when that cannot tell.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert criterion.available_parallelism() == width
 
 
 def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
@@ -348,8 +359,8 @@ def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
     # gets a pool of two, not all 64 on a range of 98 spans after the first,
     # whose spans are stubbed out to keep this quick.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 2)
-    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
-    monkeypatch.setattr(ProbePool, "sizes", [])
+    monkeypatch.setattr("ryser.criterion._pool", probe_pool)
+    monkeypatch.setattr(probe_pool, "sizes", [])
     reports = list(iter_sieve(1, 4097, workers=64))
     assert [r.n for r in reports] == [4 * u * u for u in range(1, 4098, 2)]
     monkeypatch.setattr("ryser.criterion._sieve_span",
@@ -357,7 +368,7 @@ def test_library_pools_are_clamped_to_available_parallelism(monkeypatch):
     spans = list(iter_sieve(1, 200001, workers=64))
     assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
     assert (spans[0][0], spans[-1][1], len(spans)) == (1, 200002, 99)
-    assert ProbePool.sizes == [2, 2]
+    assert probe_pool.sizes == [2, 2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -371,14 +382,14 @@ def test_threads_are_clamped_to_available_parallelism(capsys, monkeypatch,
     # would need to each get one.
     monkeypatch.setattr("ryser.criterion._SIEVE_SPAN", 1)
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
-    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
-    monkeypatch.setattr(ProbePool, "sizes", [])
+    monkeypatch.setattr("ryser.criterion._pool", probe_pool)
+    monkeypatch.setattr(probe_pool, "sizes", [])
     code, serial, err = run_cli(capsys, *argv, "--threads", "1")
-    assert code == 0 and ProbePool.sizes == []
+    assert code == 0 and probe_pool.sizes == []
     code, out, err = run_cli(capsys, *argv, "--threads", "1000")
     assert code == 0
     # The searches take milliseconds, so they never start a pool.
-    assert ProbePool.sizes == ([] if argv[0] == "search" else [3])
+    assert probe_pool.sizes == ([] if argv[0] == "search" else [3])
     assert out == serial
 
 
@@ -388,15 +399,15 @@ def test_sieve_pools_only_ranges_longer_than_one_span(capsys, monkeypatch):
     # candidate more makes a third span, and a pool of two takes the last
     # two spans.
     monkeypatch.setattr("ryser.criterion.available_parallelism", lambda: 3)
-    monkeypatch.setattr("ryser.criterion._Pool", ProbePool)
+    monkeypatch.setattr("ryser.criterion._pool", probe_pool)
     for u_max, sizes in (("2049", []), ("2051", [2])):
-        monkeypatch.setattr(ProbePool, "sizes", [])
+        monkeypatch.setattr(probe_pool, "sizes", [])
         code, serial, err = run_cli(capsys, "sieve", "1", u_max,
                                     "--threads", "1")
-        assert code == 0 and ProbePool.sizes == []
+        assert code == 0 and probe_pool.sizes == []
         code, out, err = run_cli(capsys, "sieve", "1", u_max,
                                  "--threads", "3")
-        assert code == 0 and ProbePool.sizes == sizes
+        assert code == 0 and probe_pool.sizes == sizes
         assert out == serial
 
 
@@ -411,16 +422,16 @@ def test_sieve_pool_starts_after_the_first_record(monkeypatch, span, u_max,
     stdout = io.StringIO()
     lines_at_pool = []
 
-    def pool(processes, initializer=None):
+    def pool(worker, tasks, processes):
         lines_at_pool.append(stdout.getvalue().count("\n"))
-        return ProbePool(processes, initializer)
+        return probe_pool(worker, tasks, processes)
 
-    monkeypatch.setattr("ryser.criterion._Pool", pool)
-    monkeypatch.setattr(ProbePool, "sizes", [])
+    monkeypatch.setattr("ryser.criterion._pool", pool)
+    monkeypatch.setattr(probe_pool, "sizes", [])
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["sieve", "1", str(u_max), "--threads", "3"]) == 0
     assert lines_at_pool == [1]
-    assert ProbePool.sizes == [size]
+    assert probe_pool.sizes == [size]
 
 
 def test_search_circulant_four(capsys):
@@ -682,13 +693,13 @@ def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
         import ryser.cli
         import ryser.criterion as criterion
 
-        def interrupting(processes, initializer):
+        def interrupting(worker, tasks, processes):
             os.kill(os.getpid(), signal.SIGINT)
             time.sleep(30)
             raise AssertionError("no KeyboardInterrupt")
 
         if __name__ == "__main__":
-            criterion._Pool = interrupting
+            criterion._pool = interrupting
             criterion.available_parallelism = lambda: 2
             sys.exit(ryser.cli.main(["sieve", "1", "4097", "--threads", "2"]))
         """)
@@ -697,33 +708,33 @@ def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
 
 
 def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
-    # An initializer that runs late widens the gap between a worker's fork
-    # and _ignore_sigint, and the Ctrl-C is sent to the process group inside
-    # that gap. The parent keeps it pending, so the sieve runs to its end
-    # unless a worker took it and stopped with KeyboardInterrupt. The
-    # script exits 130, as the CLI does after a Ctrl-C, once every check
-    # has passed.
+    # An _ignore_sigint that runs late widens the gap between a worker's
+    # fork and its ignoring SIGINT, and the Ctrl-C is sent to the process
+    # group inside that gap: when the pool restores the parent's signal
+    # mask, which comes after the last fork. The parent keeps it blocked
+    # and pending, so the sieve runs to its end unless a worker took it and
+    # stopped with KeyboardInterrupt. The script exits 130, as the CLI does
+    # after a Ctrl-C, once every check has passed.
     proc, out, err = run_alone(tmp_path / "late_pool.py", """
         import os, signal, sys, time
         import ryser.criterion as criterion
 
-        def late(initializer):
+        ignore, sigmask = criterion._ignore_sigint, signal.pthread_sigmask
+
+        def late():
             time.sleep(0.3)
-            initializer()
+            ignore()
 
-        class LatePool(criterion._Pool):
-            def __init__(self, processes, initializer):
-                super().__init__(processes, lambda: late(initializer))
-
-            def imap(self, worker, tasks):
-                results = super().imap(worker, tasks)
-                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                os.killpg(0, signal.SIGINT)
-                return results
+        def restoring(how, mask):
+            if how != signal.SIG_SETMASK:
+                return sigmask(how, mask)
+            sigmask(how, {*mask, signal.SIGINT})
+            os.killpg(0, signal.SIGINT)
 
         if __name__ == "__main__":
             serial = list(criterion.iter_sieve(1, 4097, workers=1))
-            criterion._Pool = LatePool
+            criterion._ignore_sigint = late
+            signal.pthread_sigmask = restoring
             criterion.available_parallelism = lambda: 2
             assert list(criterion.iter_sieve(1, 4097, workers=2)) == serial
             assert signal.SIGINT in signal.sigpending()
@@ -738,7 +749,7 @@ def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
 POOL_SCRIPT = """
     import os, signal, sys, time
     import ryser.criterion as criterion
-    from ryser.errors import PoolFailed
+    from ryser.errors import NotCandidateForm, PoolFailed
 
     class SpanError(Exception):
         pass
@@ -767,6 +778,57 @@ def test_pool_worker_exception_reaches_the_parent(tmp_path):
             print('raised')
         """))
     assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_worker_library_error_keeps_its_fields(tmp_path):
+    # NotCandidateForm's message is its only arg, so it reaches the parent
+    # whole only if its pickle rebuilds it from n and reason.
+    proc, out, err = run_alone(tmp_path / "library.py", POOL_SCRIPT.format(
+        "if task == 3: criterion.parse_candidate(12)", """
+        seen = []
+        try:
+            for task, _ in results:
+                seen.append(task)
+        except NotCandidateForm as exc:
+            assert (exc.n, exc.reason) == (12, 'quotient not a perfect square')
+            assert seen == [0, 1, 2], seen
+            print('raised')
+        """))
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_result_that_does_not_pickle_reaches_the_parent(tmp_path):
+    # The worker that cannot pickle its result is alive and sends the error
+    # in its place; it is not reported as a worker that died. A generator,
+    # since a lambda's error names no pickling on every Python version.
+    proc, out, err = run_alone(tmp_path / "unpickled.py", POOL_SCRIPT.format(
+        "if task == 3: return (t for t in [task])", """
+        seen = []
+        try:
+            for task, _ in results:
+                seen.append(task)
+        except PoolFailed as exc:
+            raise AssertionError(exc)
+        except Exception as exc:
+            assert 'pickle' in str(exc), exc
+            assert seen == [0, 1, 2], seen
+            print('raised')
+        """))
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_every_error_survives_pickle():
+    # A pooled worker sends the exception that ends it as a pickle.
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) == 8
+    for cls in classes:
+        exc = (cls(12, "quotient not a perfect square")
+               if cls is errors.NotCandidateForm else cls("message"))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (back.args, vars(back), str(back)) == (exc.args, vars(exc),
+                                                      str(exc))
 
 
 def test_pool_worker_killed_makes_the_parent_raise(tmp_path):
