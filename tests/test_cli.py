@@ -743,6 +743,33 @@ def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
     assert (proc.returncode, err) == (130, "")
 
 
+def test_pool_interrupt_as_workers_start_closes_every_pipe(tmp_path):
+    # A Ctrl-C pending while the workers fork is raised when the pool
+    # restores the signal mask, so the write ends must be closed by then.
+    proc, out, err = run_alone(tmp_path / "starting.py", """
+        import os, signal
+        import ryser.criterion as criterion
+
+        sigmask = signal.pthread_sigmask
+
+        def interrupted(how, mask):
+            if how == signal.SIG_SETMASK:
+                os.kill(os.getpid(), signal.SIGINT)
+            return sigmask(how, mask)
+
+        if __name__ == "__main__":
+            criterion.available_parallelism = lambda: 2
+            fds = sorted(os.listdir('/proc/self/fd'))
+            signal.pthread_sigmask = interrupted
+            try:
+                list(criterion.run_spans(abs, list(range(6)), 2))
+            except KeyboardInterrupt:
+                assert sorted(os.listdir('/proc/self/fd')) == fds
+                print('interrupted')
+        """)
+    assert (proc.returncode, out, err) == (0, "interrupted\n", "")
+
+
 # The pool's failure paths, each run by run_alone: run_spans on six tasks
 # and two workers forks worker 0 for tasks 1, 3 and 5 and worker 1 for
 # tasks 2 and 4, after task 0 has run in the calling process.
