@@ -280,43 +280,34 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     return itertools.chain.from_iterable(blocks) if encode is None else blocks
 
 
-def _ignore_sigint() -> None:
-    # Ctrl-C reaches the whole process group; only the parent reacts, and
-    # closing the pool kills the workers. A worker starts with SIGINT
-    # blocked (see _pool) and unblocks it only once it is ignored.
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-
-
 def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
     """Yield worker(task) for every task, in task order, from forked workers.
 
     Worker k runs tasks k, k + processes, ... and sends each result, or the
-    exception that ends it, as a length-prefixed pickle on its own pipe.
-    However the iteration ends, every worker is killed and reaped.
+    exception that ends it, as a length-prefixed pickle on its own pipe,
+    whose write end it alone holds. Workers keep SIGINT blocked until they
+    exit. However the iteration ends, every worker is killed and reaped.
     """
     # pickle loads here, before the forks, so that no worker imports it.
     import pickle
     import signal
 
-    def work(k: int) -> None:
-        # The forked worker k: it keeps only its own write end open and
-        # ends with os._exit, so it never flushes the stdio buffers it
-        # inherited or runs this process's exit handlers, and no exception
-        # leaves it for the caller's code.
+    def work(k: int, write: int) -> None:
+        # The forked worker k. It closes every read end, so its writes fail
+        # once this process is gone, and it ends with os._exit: it never
+        # flushes inherited stdio buffers or runs exit handlers, and no
+        # exception leaves it for the caller's code.
         code = 1
         try:
-            write = writers[k]
-            for reader, other in zip(readers, writers):
+            for reader in readers:
                 reader.close()
-                if other != write:
-                    os.close(other)
-            _ignore_sigint()
             for task in tasks[k::processes]:
                 try:
-                    ok, data = True, pickle.dumps((True, worker(task)))
+                    ok, value = True, worker(task)
+                except Exception as exc:
+                    ok, value = False, exc
+                try:
+                    data = pickle.dumps((ok, value))
                 except Exception as exc:
                     ok, data = False, pickle.dumps((False, exc))
                 view = memoryview(len(data).to_bytes(8, "little") + data)
@@ -329,29 +320,27 @@ def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
             os._exit(code)
 
     readers: list = []
-    writers: list[int] = []
     pids: list[int] = []
-    # Workers inherit the blocked SIGINT, so none takes a Ctrl-C before
-    # _ignore_sigint has it ignored. One that comes meanwhile stays pending
-    # here until every worker is forked and every write end closed, and
-    # then interrupts this process, whose outer finally kills them all.
+    # Workers inherit the blocked SIGINT and never unblock it. A Ctrl-C
+    # that comes while they fork stays pending here until the mask is
+    # restored, and then interrupts this process, whose outer finally kills
+    # them all.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         try:
-            for _ in range(processes):
-                read, write = os.pipe()
-                readers.append(open(read, "rb"))
-                writers.append(write)
             for k in range(processes):
-                pid = os.fork()
-                if pid == 0:
-                    work(k)
-                pids.append(pid)
+                read, write = os.pipe()
+                try:
+                    readers.append(open(read, "rb"))
+                    pid = os.fork()
+                    if pid == 0:
+                        work(k, write)
+                    pids.append(pid)
+                finally:
+                    os.close(write)
         except OSError as exc:
             raise PoolFailed(f"could not start a worker: {exc}") from exc
         finally:
-            for write in writers:
-                os.close(write)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i in range(len(tasks)):
             k = i % processes
@@ -398,8 +387,9 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     forked workers (_pool) take the rest, and below two, or where os.fork
     is missing, every task runs here. Only a pool imports the pickle and
     signal modules. Each worker runs every size-th task and sends each
-    result as one message, so callers size tasks and results must pickle.
-    An exception in a worker, or the error from pickling its result, is
+    result on a pipe whose write end it alone holds, so callers size tasks
+    and results must pickle; it keeps SIGINT blocked until it exits. An
+    exception in a worker, or the error from pickling what it sends, is
     raised here with its own type, and PoolFailed when a pipe or fork
     fails or a worker dies. Closing the iterator early kills the workers.
     """

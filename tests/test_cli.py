@@ -708,22 +708,17 @@ def test_interrupt_before_the_pool_starts_stops_the_parent(tmp_path):
 
 
 def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
-    # An _ignore_sigint that runs late widens the gap between a worker's
-    # fork and its ignoring SIGINT, and the Ctrl-C is sent to the process
-    # group inside that gap: when the pool restores the parent's signal
-    # mask, which comes after the last fork. The parent keeps it blocked
-    # and pending, so the sieve runs to its end unless a worker took it and
-    # stopped with KeyboardInterrupt. The script exits 130, as the CLI does
-    # after a Ctrl-C, once every check has passed.
-    proc, out, err = run_alone(tmp_path / "late_pool.py", """
-        import os, signal, sys, time
+    # The Ctrl-C is sent to the process group when the pool restores the
+    # parent's signal mask, which comes after the last fork. The parent
+    # keeps it blocked and pending, so the sieve runs to its end unless a
+    # worker took it and stopped with KeyboardInterrupt: workers inherit
+    # the blocked SIGINT and must keep it blocked. The script exits 130, as
+    # the CLI does after a Ctrl-C, once every check has passed.
+    proc, out, err = run_alone(tmp_path / "started_pool.py", """
+        import os, signal, sys
         import ryser.criterion as criterion
 
-        ignore, sigmask = criterion._ignore_sigint, signal.pthread_sigmask
-
-        def late():
-            time.sleep(0.3)
-            ignore()
+        sigmask = signal.pthread_sigmask
 
         def restoring(how, mask):
             if how != signal.SIG_SETMASK:
@@ -733,7 +728,6 @@ def test_interrupt_while_workers_start_reaches_only_the_parent(tmp_path):
 
         if __name__ == "__main__":
             serial = list(criterion.iter_sieve(1, 4097, workers=1))
-            criterion._ignore_sigint = late
             signal.pthread_sigmask = restoring
             criterion.available_parallelism = lambda: 2
             assert list(criterion.iter_sieve(1, 4097, workers=2)) == serial
@@ -824,12 +818,11 @@ def test_pool_worker_library_error_keeps_its_fields(tmp_path):
     assert (proc.returncode, out, err) == (0, "raised\n", "")
 
 
-def test_pool_result_that_does_not_pickle_reaches_the_parent(tmp_path):
-    # The worker that cannot pickle its result is alive and sends the error
-    # in its place; it is not reported as a worker that died. A generator,
-    # since a lambda's error names no pickling on every Python version.
-    proc, out, err = run_alone(tmp_path / "unpickled.py", POOL_SCRIPT.format(
-        "if task == 3: return (t for t in [task])", """
+# The worker that cannot pickle what it sends for task 3 is alive and sends
+# the pickling error in its place; it is not reported as a worker that died.
+# A generator, since a lambda's error names no pickling on every Python
+# version.
+PICKLING_ERROR_REACHES_THE_PARENT = """
         seen = []
         try:
             for task, _ in results:
@@ -840,7 +833,21 @@ def test_pool_result_that_does_not_pickle_reaches_the_parent(tmp_path):
             assert 'pickle' in str(exc), exc
             assert seen == [0, 1, 2], seen
             print('raised')
-        """))
+        """
+
+
+def test_pool_result_that_does_not_pickle_reaches_the_parent(tmp_path):
+    proc, out, err = run_alone(tmp_path / "unpickled.py", POOL_SCRIPT.format(
+        "if task == 3: return (t for t in [task])",
+        PICKLING_ERROR_REACHES_THE_PARENT))
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_error_that_does_not_pickle_reaches_the_parent(tmp_path):
+    proc, out, err = run_alone(tmp_path / "unpickled_error.py",
+                               POOL_SCRIPT.format(
+        "if task == 3: raise SpanError('span failed', (t for t in [task]))",
+        PICKLING_ERROR_REACHES_THE_PARENT))
     assert (proc.returncode, out, err) == (0, "raised\n", "")
 
 
@@ -874,6 +881,33 @@ def test_pool_worker_killed_makes_the_parent_raise(tmp_path):
             print('raised')
         """))
     assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_workers_exit_when_the_parent_is_killed(tmp_path):
+    # Each result is far larger than a pipe holds, so once the parent dies
+    # the workers are blocked writing; they exit only if no process holds
+    # a read end of their pipes. They hold the script's stdout, so
+    # communicate returns only after they have exited. run_alone is not
+    # used: init reaps the orphans only some time after they exit.
+    path = tmp_path / "orphans.py"
+    path.write_text(textwrap.dedent(POOL_SCRIPT.format(
+        "return bytes(1 << 20)", """
+        next(results)
+        next(results)
+        os.kill(os.getpid(), signal.SIGKILL)
+        """)))
+    proc = subprocess.Popen([sys.executable, str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert (proc.returncode, out, err) == (-signal.SIGKILL, b"", b"")
 
 
 def test_pool_closed_early_leaves_no_worker(tmp_path):
