@@ -191,8 +191,6 @@ def _cmd_verify_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_sieve(args: argparse.Namespace) -> int:
-    import json
-
     record = _csv_record if args.format == "csv" else _json_record
     try:
         blocks = iter_sieve(args.u_min, args.u_max,
@@ -221,6 +219,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
               f"not decided {counts[Verdict.NOT_DECIDED.value]}; "
               f"survivors: {joined}", file=sys.stderr)
     else:
+        import json
+
         print(json.dumps({"summary": summary}))
     return EXIT_OK
 

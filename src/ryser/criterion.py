@@ -48,9 +48,9 @@ DEFAULT_SIEVE_CAP = 10 ** 7
 # Largest odd u with 4u^2 still below 2^63, the arithmetic input ceiling.
 MAX_SIEVE_BOUND = math.isqrt(MAX_INPUT // 4 - 1)
 
-# Candidates in one sieve task, large enough that task dispatch never
-# dominates. Only the first span is shorter: one candidate, run in the
-# calling process before any pool starts, so the first record needs no more.
+# Most candidates in one sieve task, large enough that task dispatch never
+# dominates. The first span is one candidate, run before any pool starts;
+# the rest are as few as this allows, within one candidate of each other.
 _SIEVE_SPAN = 1024
 
 # theorem_witnesses' bounded per-process cache, shared by all its calls. It
@@ -248,8 +248,9 @@ def _validated_spans(u_min: int, u_max: int) -> list[tuple[int, int]]:
     if count > DEFAULT_SIEVE_CAP:
         raise RangeTooLarge(f"{count} candidates exceed the sieve cap of "
                             f"{DEFAULT_SIEVE_CAP}")
-    bounds = [u_min, *range(u_min + 2, u_max + 1, 2 * _SIEVE_SPAN), u_max + 1]
-    return list(zip(bounds, bounds[1:]))
+    k = -(-(count - 1) // _SIEVE_SPAN)
+    starts = [u_min + 2 + (count - 1) * i // k * 2 for i in range(k)]
+    return list(zip([u_min, *starts], [*starts, u_max + 1]))
 
 
 def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
@@ -259,10 +260,10 @@ def iter_sieve(u_min: int, u_max: int, *, workers: int = 1,
     The bounds, checked as theorem_witnesses checks u, the cap of
     DEFAULT_SIEVE_CAP candidates and workers, a positive integer, are
     validated eagerly; the returned iterator only computes. The first span
-    is the first candidate alone, so the first report waits for no other,
-    and each later one holds _SIEVE_SPAN candidates, the last perhaps fewer.
-    run_spans runs the first in this process and may fork workers for the
-    rest, merged back in order, so the stream never depends on scheduling.
+    is the first candidate alone, so the first report waits for no other;
+    the rest fill the fewest spans of at most _SIEVE_SPAN candidates, equal
+    to within one. run_spans runs the first here and may fork workers for
+    the rest, merged back in order: the stream never depends on scheduling.
 
     With encode, the stream yields encode(us, reports) once per span
     instead, us being the span's range of u and reports their
@@ -284,9 +285,9 @@ def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
     """Yield worker(task) for every task, in task order, from forked workers.
 
     Worker k runs tasks k, k + processes, ... and sends each result, or the
-    exception that ends it, as a length-prefixed pickle on its own pipe,
-    whose write end it alone holds. Workers keep SIGINT blocked until they
-    exit. However the iteration ends, every worker is killed and reaped.
+    exception that ends it, as one pickle on its own pipe, whose write end
+    it alone holds. Workers keep SIGINT blocked until they exit. However
+    the iteration ends, every worker is killed and reaped.
     """
     # pickle loads here, before the forks, so that no worker imports it.
     import pickle
@@ -301,6 +302,7 @@ def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
         try:
             for reader in readers:
                 reader.close()
+            out = open(write, "wb")
             for task in tasks[k::processes]:
                 try:
                     ok, value = True, worker(task)
@@ -310,9 +312,8 @@ def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
                     data = pickle.dumps((ok, value))
                 except Exception as exc:
                     ok, data = False, pickle.dumps((False, exc))
-                view = memoryview(len(data).to_bytes(8, "little") + data)
-                while view:
-                    view = view[os.write(write, view):]
+                out.write(data)
+                out.flush()
                 if not ok:
                     break
             code = 0
@@ -344,13 +345,11 @@ def _pool(worker: Callable, tasks: list, processes: int) -> Iterator:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i in range(len(tasks)):
             k = i % processes
-            head = readers[k].read(8)
-            size = int.from_bytes(head, "little")
-            data = readers[k].read(size)
-            if len(head) < 8 or len(data) < size:
+            try:
+                ok, value = pickle.load(readers[k])
+            except (EOFError, pickle.UnpicklingError) as exc:
                 raise PoolFailed(f"worker process {pids[k]} ended before "
-                                 f"sending result {i}")
-            ok, value = pickle.loads(data)
+                                 f"sending result {i}") from exc
             if not ok:
                 raise value
             yield value
@@ -386,10 +385,10 @@ def run_spans(worker: Callable, tasks: list, workers: int) -> Iterator:
     for a worker; min(workers, available_parallelism(), len(tasks) - 1)
     forked workers (_pool) take the rest, and below two, or where os.fork
     is missing, every task runs here. Only a pool imports the pickle and
-    signal modules. Each worker runs every size-th task and sends each
-    result on a pipe whose write end it alone holds, so callers size tasks
-    and results must pickle; it keeps SIGINT blocked until it exits. An
-    exception in a worker, or the error from pickling what it sends, is
+    signal modules. Each worker runs every size-th task and pickles each
+    result onto a pipe whose write end it alone holds, so callers size
+    tasks and results must pickle; it keeps SIGINT blocked until it exits.
+    An exception in a worker, or the error from pickling what it sends, is
     raised here with its own type, and PoolFailed when a pipe or fork
     fails or a worker dies. Closing the iterator early kills the workers.
     """

@@ -570,6 +570,9 @@ def test_numpy_loads_only_where_it_computes():
                  "ryser.cli.main(['search', 'circulant', '16']); "
                  "ryser.cli.main(['search', 'circulant', '25']); "
                  "assert not {'json', 'csv'} & set(sys.modules), 'searches'; "
+                 "ryser.cli.main(['sieve', '1', '9', '--format', 'csv', "
+                 "'--threads', '1']); "
+                 "assert 'json' not in sys.modules, 'csv sieve'; "
                  "ryser.cli.main(['check', '36']); "
                  "assert 'json' in sys.modules, 'check'; "
                  "ryser.cli.main(['sieve', '1', '9', '--threads', '1']); "
@@ -878,6 +881,30 @@ def test_pool_worker_killed_makes_the_parent_raise(tmp_path):
         except PoolFailed as exc:
             assert 'before sending result 2' in str(exc), exc
             assert seen == [0, 1, 2], seen
+            print('raised')
+        """))
+    assert (proc.returncode, out, err) == (0, "raised\n", "")
+
+
+def test_pool_worker_killed_while_sending_makes_the_parent_raise(tmp_path):
+    # Task 3's result is far larger than a pipe holds, so after half a
+    # second worker 0 is blocked partway through writing it; the parent
+    # then finds its pickle cut short, not a whole result or a hang.
+    proc, out, err = run_alone(tmp_path / "cut.py", POOL_SCRIPT.format(
+        "if task == 3: return bytes(1 << 20)", """
+        import pickle
+        assert next(results) == (0, os.getpid())
+        task, pid = next(results)
+        assert task == 1 and pid != os.getpid()
+        time.sleep(0.5)
+        os.kill(pid, signal.SIGKILL)
+        assert next(results)[0] == 2
+        try:
+            next(results)
+        except PoolFailed as exc:
+            assert 'before sending result 2' in str(exc), exc
+            assert isinstance(exc.__cause__,
+                              (EOFError, pickle.UnpicklingError)), exc
             print('raised')
         """))
     assert (proc.returncode, out, err) == (0, "raised\n", "")

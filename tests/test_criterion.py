@@ -472,9 +472,10 @@ def test_sieve_encodes_each_record_where_its_span_runs(monkeypatch):
     (MAX_SIEVE_BOUND - 2 * 2999, MAX_SIEVE_BOUND),
 ], ids=["1", "2", "1023", "1024", "1025", "1026", "10001", "ceiling"])
 def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
-    # The spans go from one candidate straight up to full ones: the first
-    # holds u_min alone, each other one _SIEVE_SPAN candidates but the
-    # last, which may hold fewer.
+    # The spans go from one candidate straight up to the fewest that hold
+    # the rest: the first holds u_min alone, and the others at most
+    # _SIEVE_SPAN candidates each, within one of each other, so no pooled
+    # span is a sliver.
     spans = _validated_spans(u_min, u_max)
     assert spans[0][0] == u_min and spans[-1][1] == u_max + 1
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -484,8 +485,13 @@ def test_spans_ramp_up_and_cover_the_range_once(u_min, u_max):
     count = (u_max - u_min) // 2 + 1
     assert len(spans) == 1 + -(-(count - 1) // _SIEVE_SPAN)
     assert sizes[0] == 1
-    assert sizes[1:-1] == [_SIEVE_SPAN] * (len(sizes) - 2)
-    assert 1 <= sizes[-1] <= _SIEVE_SPAN
+    rest = sizes[1:]
+    assert all(1 <= size <= _SIEVE_SPAN for size in rest)
+    assert max(rest, default=0) - min(rest, default=0) <= 1
+    # 1025 candidates after the first no longer leave one for a span of
+    # its own, nor 10000 a short last span.
+    if count in (1026, 10001):
+        assert sizes == {1026: [1, 512, 513], 10001: [1] + [1000] * 10}[count]
 
 
 def test_first_report_needs_only_the_first_span(monkeypatch):
