@@ -6,10 +6,11 @@ matrices throughout and the full matrix is never materialized. The binding
 Hadamard test is exact integer autocorrelation; the floating spectrum is a
 cross-check only and never decides a verdict. The exhaustive search first
 settles every order where no row can exist (n not a square, or n > 1 not
-divisible by 4), then walks the sign masks of row sum +sqrt(n) as Python
-ints in one process; sorted_rows, the tail of both searches, adds their
-negations. numpy is imported by the functions that compute with it, so
-importing this module or searching an order with no row does not load it.
+divisible by 4), then walks the half-length compressions of the rows of
+sum +sqrt(n) and lifts them, as Python ints in one process; sorted_rows,
+the tail of both searches, adds their negations. numpy is imported by the
+functions that compute with it, so importing this module or searching an
+order with no row does not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections.abc import Callable, Iterable
 from .criterion import run_spans
 from .errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
-MAX_SEARCH_ORDER = 28
+MAX_SEARCH_ORDER = 36
 
 ROOT_CONVENTION = "w_n = exp(2i*pi/n), b_s = R(w_n^(s-1))"
 
@@ -123,11 +124,15 @@ def search_all(n: int) -> list[SignRow]:
     sum to +-sqrt(n), so n is a square. And PAF_k = n - 2d_k, where d_k
     counts the i with h_i != h_{i+k}; the product of h_i * h_{i+k} over all
     i is 1, so d_k is even, PAF_k = n (mod 4) and no shift reaches 0 unless
-    4 divides n. For the orders left, only the masks with
-    c = (n - sqrt(n)) / 2 bits set (bit i is h_{i+1}, 0 meaning +1) are
-    walked and pruned on each autocorrelation shift, in this process, and
+    4 divides n. That leaves 1, 4, 16 and 36 below the guard. Their rows
+    of sum +sqrt(n) are walked through the compression a_r = h_r + h_(r+n/2):
+    PAF_a(k) = PAF_h(k) + PAF_h(k + n/2), so a/2 is a circulant weighing row
+    of length n/2 with n/4 entries +-1 and sum sqrt(n)/2. Each such row is
+    lifted (a +-1 fixes h_r and h_(r+n/2), a 0 leaves +- or -+), the lifts
+    are pruned on each shift as masks (bit i is h_{i+1}, 0 meaning +1), and
     sorted_rows adds their negations (the -sqrt(n) class), keeps the rows
-    is_circulant_hadamard confirms and sorts them with +1 before -1.
+    is_circulant_hadamard confirms and sorts them with +1 before -1. No
+    weighing row of length 18 and weight 9 exists, so 36 has no row.
     """
     if not 1 <= n <= MAX_SEARCH_ORDER:
         raise OrderTooLarge(f"order {n} outside [1, {MAX_SEARCH_ORDER}]")
@@ -139,19 +144,48 @@ def search_all(n: int) -> list[SignRow]:
 
 
 def _search_class(n: int) -> list[int]:
+    # Each row of sum +sqrt(n) compresses to one weighing row; lift them all.
+    half = n // 2
     found = []
-    for flipped in itertools.combinations(range(n), (n - math.isqrt(n)) // 2):
-        mask = sum(1 << i for i in flipped)
-        # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide the rest.
-        if all(_mask_paf(mask, k, n) == 0 for k in range(1, n // 2 + 1)):
-            found.append(mask)
+    for support, minus in _weighing_rows(half, n // 4):
+        zeros = [(1 << r, 1 << (r + half)) for r in range(half)
+                 if not support >> r & 1]
+        for pick in itertools.product(*zeros):
+            mask = minus | minus << half | sum(pick)
+            # PAF_k equals PAF_{n-k} exactly, so shifts up to n//2 decide.
+            if all(_mask_paf(mask, k, n) == 0 for k in range(1, half + 1)):
+                found.append(mask)
     return found
+
+
+def _weighing_rows(length: int, weight: int) -> list[tuple[int, int]]:
+    # Rows b of {0, +-1} with `weight` nonzeros, sum +sqrt(weight) and every
+    # off-peak PAF 0, as (support mask, minus mask). On the overlap o of the
+    # support with its rotation by k, PAF_k = |o| - 2|o & (v ^ rot_k v)|.
+    rows = []
+    for support in itertools.combinations(range(length), weight):
+        s = sum(1 << r for r in support)
+        overlaps = [(k, s & _rotate(s, k, length))
+                    for k in range(1, length // 2 + 1)]
+        if any(o.bit_count() % 2 for _, o in overlaps):
+            continue
+        for flipped in itertools.combinations(
+                support, (weight - math.isqrt(weight)) // 2):
+            v = sum(1 << r for r in flipped)
+            if all(o.bit_count() == 2 * (o & (v ^ _rotate(v, k, length)))
+                   .bit_count() for k, o in overlaps):
+                rows.append((s, v))
+    return rows
+
+
+def _rotate(mask: int, k: int, n: int) -> int:
+    # Bit i of the result is bit i + k (mod n) of mask.
+    return ((mask >> k) | (mask << (n - k))) & ((1 << n) - 1)
 
 
 def _mask_paf(mask: int, k: int, n: int) -> int:
     # h_i * h_{i+k} is -1 exactly where bit i differs from its rotation by k.
-    rotated = ((mask >> k) | (mask << (n - k))) & ((1 << n) - 1)
-    return n - 2 * (mask ^ rotated).bit_count()
+    return n - 2 * (mask ^ _rotate(mask, k, n)).bit_count()
 
 
 def expand_masks(masks: np.ndarray, n: int) -> np.ndarray:

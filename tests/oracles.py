@@ -106,6 +106,20 @@ def naive_circulant_solutions(n):
     return sorted(rows, key=literal_key)
 
 
+def naive_weighing_rows(length, weight):
+    """Every row of {0, +-1} entries with `weight` nonzeros, a positive sum
+    and every off-peak periodic autocorrelation 0, as sorted (support mask,
+    minus mask) pairs. The sum is then +sqrt(weight), since the
+    autocorrelations over all shifts add up to its square."""
+    rows = []
+    for row in itertools.product((0, 1, -1), repeat=length):
+        if (sum(map(abs, row)) == weight and sum(row) > 0
+                and all(naive_paf(row, k) == 0 for k in range(1, length))):
+            rows.append((sum(1 << i for i, b in enumerate(row) if b),
+                         sum(1 << i for i, b in enumerate(row) if b == -1)))
+    return sorted(rows)
+
+
 def naive_barker_solutions(length):
     rows = [row for row in all_sign_rows(length)
             if all(abs(naive_apaf(row, k)) <= 1 for k in range(1, length))]

@@ -13,7 +13,7 @@ from ryser.circulant import (MAX_SEARCH_ORDER, SignRow, group_coefficients,
 from ryser.errors import IndexOutOfRange, NotADivisor, OrderTooLarge
 
 from oracles import (check_record, entries_to_mask, mask_to_entries,
-                     naive_circulant_solutions, naive_paf)
+                     naive_circulant_solutions, naive_paf, naive_weighing_rows)
 
 ROW4 = SignRow.from_literal("+++-")
 
@@ -27,6 +27,15 @@ def probe_masks(rng, n):
     full = (1 << n) - 1
     edges = [0, full, 1 << (n - 1), 0x5555555 & full]
     return edges + [rng.getrandbits(n) for _ in range(12)]
+
+
+def compress(mask, n):
+    """(support mask, minus mask) of a/2, a_r = h_r + h_(r+n/2), for the
+    sign row that an n-bit mask encodes."""
+    h = mask_to_entries(mask, n)
+    a = [h[r] + h[r + n // 2] for r in range(n // 2)]
+    return (sum(1 << r for r, x in enumerate(a) if x),
+            sum(1 << r for r, x in enumerate(a) if x < 0))
 
 
 def keep_every_mask(calls):
@@ -250,9 +259,58 @@ def test_search_all_row_sums():
         assert abs(sum(row.entries)) == 2
 
 
+def test_compression_folds_each_correlation_with_its_half_turn():
+    # The fact the search rests on: PAF_a(k) = PAF_h(k) + PAF_h(k + n/2).
+    rng = random.Random(36)
+    for n in (16, 36):
+        half = n // 2
+        for _ in range(10):
+            h = random_row(rng, n).entries
+            a = [h[r] + h[r + half] for r in range(half)]
+            for k in range(half):
+                assert naive_paf(a, k) == (
+                    naive_paf(h, k) + naive_paf(h, k + half)), (h, k)
+
+
+@pytest.mark.parametrize("length, weight, count", [
+    (2, 1, 2), (4, 1, 4), (8, 4, 24), (9, 4, 0), (10, 4, 40)])
+def test_weighing_rows_match_the_ternary_oracle(length, weight, count):
+    # Below n = 36 only n = 4 has rows, and its compressions hold no -1, so
+    # these rows with -1 entries are what pin the walk's signs.
+    rows = circulant._weighing_rows(length, weight)
+    assert sorted(rows) == naive_weighing_rows(length, weight)
+    assert len(rows) == count
+
+
+def test_weighing_row_counts():
+    # Every support is walked, so each count is length/weight times the
+    # count of rows with a nonzero first entry (72, 28 and 0).
+    for length, weight, count in ((13, 9, 104), (16, 4, 112), (18, 9, 0)):
+        assert len(circulant._weighing_rows(length, weight)) == count, length
+
+
+def test_search_class_lifts_each_weighing_row_every_way(monkeypatch):
+    # A +-1 entry fixes both h_r and h_(r+n/2); a 0 leaves two choices.
+    rng = random.Random(16)
+    monkeypatch.setattr(circulant, "_mask_paf", keep_every_mask([]))
+    for n in (16, 36):
+        for _ in range(3):
+            mask = rng.getrandbits(n)
+            row = compress(mask, n)
+            asked = []
+            monkeypatch.setattr(circulant, "_weighing_rows",
+                                lambda *args: asked.append(args) or [row])
+            lifts = circulant._search_class(n)
+            assert asked == [(n // 2, n // 4)]
+            assert len(set(lifts)) == len(lifts) == (
+                2 ** (n // 2 - row[0].bit_count()))
+            assert all(compress(lift, n) == row for lift in lifts)
+            assert mask in lifts
+
+
 def test_search_all_guard():
-    assert MAX_SEARCH_ORDER == 28
+    assert MAX_SEARCH_ORDER == 36
     with pytest.raises(OrderTooLarge):
-        search_all(29)
+        search_all(37)
     with pytest.raises(OrderTooLarge):
         search_all(0)

@@ -488,6 +488,14 @@ def test_every_search_prints_its_pinned_bytes(capsys, kind, top, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_circulant_search_up_to_the_guard_prints_count_zero(capsys):
+    # The orders past the pinned 1 .. 28: only 36 walks the compression,
+    # and no weighing row of length 18 and weight 9 exists.
+    for n in range(29, 37):
+        assert run_cli(capsys, "search", "circulant", str(n))[:2] == (
+            0, "count 0\n"), n
+
+
 def test_sieve_output_matches_the_benchmark_references(capsys, monkeypatch):
     # The deep window sieves u near 10^9 in a span of one candidate and one
     # of 39, whose segmented pass walks every odd prime up to the square
@@ -531,7 +539,7 @@ def test_sieve_output_holds_with_a_small_memo_cap(capsys, monkeypatch):
 
 
 def test_search_guards(capsys):
-    for argv in (("search", "circulant", "30"),
+    for argv in (("search", "circulant", "37"),
                  ("search", "barker", "25"),
                  ("search", "circulant", "0"),
                  ("search", "circulant", "1_6"),
@@ -567,6 +575,7 @@ def test_numpy_loads_only_where_it_computes():
                  "assert 'numpy' not in sys.modules, 'import'; "
                  "ryser.cli.main(['search', 'barker', '24']); "
                  "ryser.cli.main(['search', 'circulant', '28']); "
+                 "ryser.cli.main(['search', 'circulant', '36']); "
                  "ryser.cli.main(['search', 'circulant', '16']); "
                  "ryser.cli.main(['search', 'circulant', '25']); "
                  "assert not {'json', 'csv'} & set(sys.modules), 'searches'; "
@@ -600,7 +609,8 @@ def test_commands_load_no_pool_random_or_typing():
                 ryser.cli.main(argv)
                 assert not unwanted & (set(sys.modules) - before), argv
         run(['search', 'circulant', '16'], ['search', 'circulant', '25'],
-            ['search', 'circulant', '28'], ['search', 'barker', '24'],
+            ['search', 'circulant', '28'], ['search', 'circulant', '36'],
+            ['search', 'barker', '24'],
             ['check', '36'], ['sieve', '1', '9', '--threads', '1'])
         import numpy
         before = set(sys.modules)
