@@ -165,16 +165,19 @@ def _weighing_rows(length: int, weight: int) -> list[tuple[int, int]]:
     rows = []
     for support in itertools.combinations(range(length), weight):
         s = sum(1 << r for r in support)
-        overlaps = [(k, s & _rotate(s, k, length))
-                    for k in range(1, length // 2 + 1)]
-        if any(o.bit_count() % 2 for _, o in overlaps):
-            continue
-        for flipped in itertools.combinations(
-                support, (weight - math.isqrt(weight)) // 2):
-            v = sum(1 << r for r in flipped)
-            if all(o.bit_count() == 2 * (o & (v ^ _rotate(v, k, length)))
-                   .bit_count() for k, o in overlaps):
-                rows.append((s, v))
+        overlaps = []
+        for k in range(1, length // 2 + 1):
+            o = s & _rotate(s, k, length)
+            if o.bit_count() % 2:  # no signs can make this PAF_k 0
+                break
+            overlaps.append((k, o))
+        else:
+            for flipped in itertools.combinations(
+                    support, (weight - math.isqrt(weight)) // 2):
+                v = sum(1 << r for r in flipped)
+                if all(o.bit_count() == 2 * (o & (v ^ _rotate(v, k, length)))
+                       .bit_count() for k, o in overlaps):
+                    rows.append((s, v))
     return rows
 
 
